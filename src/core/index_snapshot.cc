@@ -220,6 +220,13 @@ FragmentIndexBuild IndexSnapshot::MergedBuild() const {
 }
 
 TermPlan IndexSnapshot::GatherTerm(std::string_view token) const {
+  if (segments_.size() == 1) {
+    // One segment: its own index already holds the live span and df, so
+    // borrow them — no copy, no scratch, no handle mapping.
+    const InvertedFragmentIndex& index = segments_[0]->index();
+    util::TermId id = index.FindTerm(token);
+    return TermPlan{index.IdfId(id), index.PostingsByFragment(id)};
+  }
   TermPlan plan;
   GatherScratch& scratch = g_gather;
   scratch.spans.clear();
@@ -286,16 +293,10 @@ std::vector<SearchResult> IndexSnapshot::Search(
     std::uint64_t min_page_words, std::size_t max_seeds,
     SearchDeadline* deadline) const {
   // The searcher only binds references into this snapshot, so constructing
-  // one per call is free and needs no synchronization.
-  if (segments_.size() == 1) {
-    TopKSearcher searcher(segments_[0]->index(), *catalog_view_, graph_,
-                          selection_, has_app_ ? &app_ : nullptr);
-    return searcher.Search(keywords, k, min_page_words, max_seeds, deadline);
-  }
-  // Multi-segment: the identical best-first walk, with every term
-  // resolved through the segment gather. Reclaim this thread's gather
-  // buffers first — any spans handed to a previous Search on this thread
-  // are dead once that call returned.
+  // one per call is free and needs no synchronization. Every term resolves
+  // through GatherTerm. Reclaim this thread's gather buffers first — any
+  // spans handed to a previous Search on this thread are dead once that
+  // call returned (an empty query reclaims them without searching).
   g_gather.used = 0;
   TopKSearcher searcher([this](std::string_view token) {
     return GatherTerm(token);

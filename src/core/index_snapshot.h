@@ -109,23 +109,27 @@ class IndexSnapshot {
 
   // Top-k search against this snapshot (Algorithm 1; see topk_search.h for
   // the parameters, including the optional per-request deadline). Lock-free
-  // and safe from any number of threads. Multi-segment snapshots run the
-  // same single best-first walk over the merged live view via GatherTerm —
-  // answers are exact global top-k, not a per-segment approximation.
+  // and safe from any number of threads. Every snapshot runs one best-first
+  // walk with its terms resolved by GatherTerm, so a multi-segment answer
+  // is the exact global top-k over the merged live view, not a per-segment
+  // approximation. Each call first reclaims this thread's gather scratch,
+  // even for an empty query.
   std::vector<SearchResult> Search(const std::vector<std::string>& keywords,
                                    int k, std::uint64_t min_page_words,
                                    std::size_t max_seeds = 0,
                                    SearchDeadline* deadline = nullptr) const;
 
-  // The multi-segment gather: resolves one query token against every
-  // segment and k-way-merges the surviving postings (local handles mapped
-  // to global, shadowed/tombstoned definitions masked) into one
-  // fragment-ascending span with the exact global IDF. The span borrows
-  // thread-local scratch that stays valid until this thread's next
-  // Search/GatherTerm cycle begins. Hot: this is the per-term serving
-  // path under sustained writes, so dash_analyze holds it to the same
-  // purity contract as TopKSearcher::Search (the scratch is capacity-
-  // reusing, steady-state allocation-free).
+  // Resolves one query token to its live IDF and fragment-ascending span
+  // (the TermPlanSource behind Search). A single-segment snapshot borrows
+  // its index's own span and IDF. A multi-segment snapshot gathers: it
+  // resolves the token against every segment and k-way-merges the
+  // surviving postings (local handles mapped to global, shadowed/
+  // tombstoned definitions masked) into one span with the exact global
+  // IDF; that span borrows thread-local scratch that stays valid until
+  // this thread's next Search begins. Hot: this is the per-term serving
+  // path, so dash_analyze holds it to the same purity contract as
+  // TopKSearcher::Search (the scratch is capacity-reusing, steady-state
+  // allocation-free).
   TermPlan GatherTerm(std::string_view token) const DASH_HOT_PATH;
 
  private:

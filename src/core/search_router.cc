@@ -66,7 +66,8 @@ ShardNode::ShardNode(const SnapshotPublisher& publisher, int shard_index,
                      int shard_total)
     : publisher_(&publisher),
       shard_index_(shard_index),
-      shard_total_(shard_total) {
+      shard_total_(shard_total),
+      views_(shard_total) {
   if (shard_total < 1 || shard_index < 0 || shard_index >= shard_total) {
     throw std::invalid_argument("ShardNode: bad shard index/total");
   }
@@ -85,7 +86,7 @@ ShardReply ShardNode::ServeShard(const std::vector<std::string>& keywords,
                           std::chrono::milliseconds(deadline_ms);
     deadline = &deadline_storage;
   }
-  reply.results = ViewFor(snapshot)->SearchShard(
+  reply.results = views_.For(snapshot)->SearchShard(
       static_cast<std::size_t>(shard_index_), keywords, k, min_page_words,
       deadline);
   reply.ok = true;
@@ -100,54 +101,16 @@ ShardStatsReply ShardNode::TermStatsFor(
   ShardStatsReply reply;
   SnapshotPtr snapshot = publisher_->Current();
   if (snapshot == nullptr) return reply;
-  std::shared_ptr<const ShardedEngine> view = ViewFor(snapshot);
+  std::shared_ptr<const ShardedEngine> view = views_.For(snapshot);
   const auto shard = static_cast<std::size_t>(shard_index_);
   for (const std::string& keyword : keywords) {
     for (std::string& token : util::Tokenize(keyword)) {
-      ShardTermStats stats;
-      util::TermId term = view->FindTerm(token);
-      if (term != util::kInvalidTermId) {
-        stats.df = view->ShardDf(term, shard);
-        stats.max_occurrences = view->ShardMaxOccurrences(term, shard);
-      }
-      stats.token = std::move(token);
-      reply.terms.push_back(std::move(stats));
+      reply.terms.push_back(view->TermStats(std::move(token), shard));
     }
   }
   reply.ok = true;
   reply.generation = snapshot->generation();
   return reply;
-}
-
-void ShardNode::WarmView(std::shared_ptr<const ShardedEngine> view) {
-  util::MutexLock lock(view_mutex_);
-  if (view_ == nullptr || view_->snapshot()->generation() <
-                              view->snapshot()->generation()) {
-    view_ = std::move(view);
-  }
-}
-
-std::shared_ptr<const ShardedEngine> ShardNode::ViewFor(
-    const SnapshotPtr& snapshot) {
-  {
-    util::MutexLock lock(view_mutex_);
-    if (view_ != nullptr &&
-        view_->snapshot()->generation() == snapshot->generation()) {
-      return view_;
-    }
-  }
-  // Build OUTSIDE the lock — same rationale as SearchService::ShardedFor:
-  // the build blocks in ParallelFor (lock-block rule) and must not stall
-  // requests still serving the previous view.
-  auto built = std::make_shared<const ShardedEngine>(snapshot, shard_total_);
-  {
-    util::MutexLock lock(view_mutex_);
-    if (view_ == nullptr || view_->snapshot()->generation() <
-                                built->snapshot()->generation()) {
-      view_ = built;
-    }
-  }
-  return built;
 }
 
 // ---- Transports ------------------------------------------------------

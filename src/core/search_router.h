@@ -78,13 +78,6 @@ struct ShardReply {
   std::vector<SearchResult> results;  // the replica's local top-k
 };
 
-// Per-token statistics of one shard slice (one /shardstats line).
-struct ShardTermStats {
-  std::string token;               // normalized query token
-  std::uint64_t df = 0;            // fragments of this shard containing it
-  std::uint32_t max_occurrences = 0;  // max per-fragment occurrence count
-};
-
 // A /shardstats answer: the slice statistics plus the generation they
 // were computed against (stats and results can skew across replicas like
 // everything else).
@@ -135,26 +128,16 @@ class ShardNode {
   std::uint64_t generation() const { return publisher_->CurrentGeneration(); }
 
   // Pre-warms the per-generation view cache with an already-built engine
-  // (used while its generation matches the published one). Lets a test
-  // cluster share ONE ShardedEngine across all in-sync replicas instead
-  // of building shards×replicas identical views.
-  void WarmView(std::shared_ptr<const ShardedEngine> view)
-      DASH_EXCLUDES(view_mutex_);
+  // (see ShardViewCache::Install).
+  void WarmView(std::shared_ptr<const ShardedEngine> view) {
+    views_.Install(std::move(view));
+  }
 
  private:
-  // The sharded view of `snapshot`, built lazily and cached per
-  // generation — the double-checked build-outside-the-lock pattern of
-  // SearchService::ShardedFor (the build blocks in ParallelFor; holding
-  // view_mutex_ across it would trip the lock-block rule and stall
-  // requests that could serve the previous view).
-  std::shared_ptr<const ShardedEngine> ViewFor(const SnapshotPtr& snapshot)
-      DASH_EXCLUDES(view_mutex_);
-
   const SnapshotPublisher* const publisher_;
   const int shard_index_;
   const int shard_total_;
-  mutable util::Mutex view_mutex_;
-  std::shared_ptr<const ShardedEngine> view_ DASH_GUARDED_BY(view_mutex_);
+  ShardViewCache views_;
 };
 
 // Transport to an in-process ShardNode (not owned; must outlive).

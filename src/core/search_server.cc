@@ -51,7 +51,8 @@ SearchService::SearchService(const SnapshotPublisher& publisher,
       options_(options),
       cache_(options.cache_capacity > 0
                  ? std::make_unique<ResultCache>(options.cache_capacity)
-                 : nullptr) {}
+                 : nullptr),
+      shard_views_(options.shards) {}
 
 std::string SearchService::RenderResults(
     const std::vector<SearchResult>& results) {
@@ -294,12 +295,12 @@ std::vector<SearchResult> SearchService::ExecuteSearch(
     // the router's fan-out, on the calling thread (the router owns the
     // cross-shard parallelism). The cache stays correct because a node's
     // shard index is fixed for its lifetime.
-    results = ShardedFor(snapshot)->SearchShard(
+    results = shard_views_.For(snapshot)->SearchShard(
         static_cast<std::size_t>(options_.shard_index), keywords, k,
         min_page_words, deadline);
   } else if (options_.shards > 0) {
-    results =
-        ShardedFor(snapshot)->Search(keywords, k, min_page_words, deadline);
+    results = shard_views_.For(snapshot)->Search(keywords, k, min_page_words,
+                                                 deadline);
   } else {
     results = snapshot->Search(keywords, k, min_page_words, /*max_seeds=*/0,
                                deadline);
@@ -347,22 +348,17 @@ webapp::HttpResponse SearchService::HandleShardStats(
     bad_request_.fetch_add(1, std::memory_order_relaxed);
     return TextResponse(400, "missing q parameter\n");
   }
-  std::shared_ptr<const ShardedEngine> view = ShardedFor(snapshot);
+  std::shared_ptr<const ShardedEngine> view = shard_views_.For(snapshot);
   const auto shard = static_cast<std::size_t>(options_.shard_index);
   std::string body = "terms " + std::to_string(tokens.size()) + "\n";
-  for (const std::string& token : tokens) {
-    util::TermId term = view->FindTerm(token);
-    const std::size_t df =
-        term == util::kInvalidTermId ? 0 : view->ShardDf(term, shard);
-    const std::uint32_t max_occurrences =
-        term == util::kInvalidTermId ? 0
-                                     : view->ShardMaxOccurrences(term, shard);
+  for (std::string& token : tokens) {
+    ShardTermStats stats = view->TermStats(std::move(token), shard);
     body += "T\t";
-    body += token;
+    body += stats.token;
     body += '\t';
-    body += std::to_string(df);
+    body += std::to_string(stats.df);
     body += '\t';
-    body += std::to_string(max_occurrences);
+    body += std::to_string(stats.max_occurrences);
     body += '\n';
   }
   webapp::HttpResponse response = TextResponse(200, std::move(body));
@@ -459,37 +455,6 @@ ServeCounters SearchService::counters() const {
   c.latency_p999_us = latency_.Percentile(0.999);
   c.latency_max_us = latency_.max();
   return c;
-}
-
-std::shared_ptr<const ShardedEngine> SearchService::ShardedFor(
-    const SnapshotPtr& snapshot) {
-  {
-    util::MutexLock lock(shard_mutex_);
-    if (sharded_ != nullptr &&
-        sharded_->snapshot()->generation() == snapshot->generation()) {
-      return sharded_;
-    }
-  }
-  // Build OUTSIDE the lock: the build is a ParallelFor counting sort of
-  // the posting pool, i.e. it blocks on the shared thread pool —
-  // dash_analyze's lock-block rule (rightly) rejects holding a mutex
-  // across it, and a slow build must not stall requests that could still
-  // serve the previous view. The cost is that several requests racing a
-  // republication may each build once; the freshest build wins the cache
-  // slot and the rest are dropped when their temporary refcount drains.
-  auto built =
-      std::make_shared<const ShardedEngine>(snapshot, options_.shards);
-  {
-    util::MutexLock lock(shard_mutex_);
-    if (sharded_ == nullptr || sharded_->snapshot()->generation() <
-                                   built->snapshot()->generation()) {
-      sharded_ = built;
-    }
-  }
-  // Serve the engine matching the caller's snapshot even if the cache
-  // slot now holds a newer generation — the response's X-Dash-Generation
-  // must match the snapshot this request pinned.
-  return built;
 }
 
 SearchServer::SearchServer(const SnapshotPublisher& publisher,

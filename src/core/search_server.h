@@ -172,11 +172,6 @@ class SearchService {
                                           SearchDeadline* deadline)
       DASH_COLD_PATH;
 
-  // The sharded view of `snapshot`, built lazily and cached per
-  // generation (a republication invalidates by generation mismatch).
-  std::shared_ptr<const ShardedEngine> ShardedFor(const SnapshotPtr& snapshot)
-      DASH_EXCLUDES(shard_mutex_);
-
   const SnapshotPublisher* const publisher_;
   const ServeOptions options_;
   const std::unique_ptr<ResultCache> cache_;  // null when cache off
@@ -186,8 +181,8 @@ class SearchService {
       DASH_GUARDED_BY(stats_mutex_);
   std::function<std::uint64_t()> compactions_ DASH_GUARDED_BY(stats_mutex_);
 
-  mutable util::Mutex shard_mutex_;
-  std::shared_ptr<const ShardedEngine> sharded_ DASH_GUARDED_BY(shard_mutex_);
+  // Sharded views of the served snapshot (unused when shards == 0).
+  ShardViewCache shard_views_;
 
   // Highest generation the cache has been purged for (ExecuteSearch
   // sweeps superseded entries once per observed generation change, on the

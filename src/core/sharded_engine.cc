@@ -53,7 +53,7 @@ ShardedEngine::ShardedEngine(SnapshotPtr snapshot, int num_shards,
 
   // A multi-segment snapshot has no single posting pool to rearrange:
   // materialize its live state as one merged build (same catalog handles,
-  // cold one-time cost — ShardedFor already rebuilds shard views per
+  // cold one-time cost — ShardViewCache already rebuilds shard views per
   // generation). Single-segment snapshots borrow their index directly.
   if (snapshot_->segment_count() > 1) {
     owned_build_ =
@@ -124,21 +124,29 @@ std::vector<SearchResult> ShardedEngine::SearchShard(
     std::size_t shard, const std::vector<std::string>& keywords, int k,
     std::uint64_t min_page_words, SearchDeadline* deadline) const {
   const IndexSnapshot& snap = *snapshot_;
+  // IDF always comes from the full index — restricting the span to the
+  // shard's slice must not shrink document frequencies.
   TopKSearcher searcher(
-      *index_, snap.catalog(), snap.graph(), snap.selection(),
-      snap.has_app() ? &snap.app() : nullptr, /*idf=*/nullptr,
-      [this, shard](util::TermId term) { return SeedSpan(term, shard); });
+      [this, shard](std::string_view token) {
+        util::TermId term = index_->FindTerm(token);
+        return TermPlan{index_->IdfId(term), SeedSpan(term, shard)};
+      },
+      snap.catalog(), snap.graph(), snap.selection(),
+      snap.has_app() ? &snap.app() : nullptr);
   return searcher.Search(keywords, k, min_page_words, /*max_seeds=*/0,
                          deadline);
 }
 
-std::uint32_t ShardedEngine::ShardMaxOccurrences(util::TermId term,
-                                                 std::size_t shard) const {
-  std::uint32_t max_occurrences = 0;
-  for (const Posting& p : SeedSpan(term, shard)) {
-    if (p.occurrences > max_occurrences) max_occurrences = p.occurrences;
+ShardTermStats ShardedEngine::TermStats(std::string token,
+                                        std::size_t shard) const {
+  ShardTermStats stats;
+  std::span<const Posting> span = SeedSpan(index_->FindTerm(token), shard);
+  stats.df = span.size();
+  for (const Posting& p : span) {
+    stats.max_occurrences = std::max(stats.max_occurrences, p.occurrences);
   }
-  return max_occurrences;
+  stats.token = std::move(token);
+  return stats;
 }
 
 std::vector<SearchResult> ShardedEngine::MergeShardResults(
@@ -162,6 +170,28 @@ std::vector<SearchResult> ShardedEngine::MergeShardResults(
     merged.resize(static_cast<std::size_t>(k));
   }
   return merged;
+}
+
+std::shared_ptr<const ShardedEngine> ShardViewCache::For(
+    const SnapshotPtr& snapshot) {
+  {
+    util::MutexLock lock(mutex_);
+    if (view_ != nullptr &&
+        view_->snapshot()->generation() == snapshot->generation()) {
+      return view_;
+    }
+  }
+  auto built = std::make_shared<const ShardedEngine>(snapshot, num_shards_);
+  Install(built);
+  return built;
+}
+
+void ShardViewCache::Install(std::shared_ptr<const ShardedEngine> view) {
+  util::MutexLock lock(mutex_);
+  if (view_ == nullptr ||
+      view_->snapshot()->generation() < view->snapshot()->generation()) {
+    view_ = std::move(view);
+  }
 }
 
 }  // namespace dash::core

@@ -17,11 +17,12 @@
 // (and so the interned term dictionary), fragment graph, and app info.
 // Nothing is deep-copied per shard. A shard is just a view: a per-fragment
 // shard assignment plus, for every (term, shard) pair, a contiguous
-// fragment-ascending slice of one rearranged posting pool that the
-// searcher uses as its seed span (TopKSearcher::SeedSpanSource). Since the
-// graph never crosses equality groups, a shard's searcher can probe the
-// global structures and still stay entirely inside its slice. Scores are
-// globally comparable for free: IDF comes from the shared global index.
+// fragment-ascending slice of one rearranged posting pool. A shard's
+// searcher resolves each term to a TermPlan of that slice and the global
+// IDF (topk_search.h). Since the graph never crosses equality groups, a
+// shard's searcher can probe the global structures and still stay
+// entirely inside its slice. Scores are globally comparable for free: IDF
+// comes from the shared global index.
 //
 // Scatter-gather runs on a persistent util::ThreadPool (per-query thread
 // spawning costs more than a warm shard search). Results are independent
@@ -36,9 +37,18 @@
 
 #include "core/dash_engine.h"
 #include "util/analysis_annotations.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace dash::core {
+
+// Per-token statistics of one shard slice (one /shardstats line).
+struct ShardTermStats {
+  std::string token;               // normalized query token
+  std::uint64_t df = 0;            // fragments of this shard containing it
+  std::uint32_t max_occurrences = 0;  // max per-fragment occurrence count
+};
 
 class ShardedEngine {
  public:
@@ -84,20 +94,13 @@ class ShardedEngine {
                                         int k, std::uint64_t min_page_words,
                                         SearchDeadline* deadline = nullptr) const;
 
-  // Per-(term, shard) statistics for router-side shard selection: the
-  // document frequency of `term` within `shard` (how many of the shard's
-  // fragments contain it) and the maximum per-fragment occurrence count.
-  // A shard whose df is 0 for every query term can be skipped exactly —
-  // no relevant fragment means no seeds and hence an empty local top-k.
-  std::size_t ShardDf(util::TermId term, std::size_t shard) const {
-    return SeedSpan(term, shard).size();
-  }
-  std::uint32_t ShardMaxOccurrences(util::TermId term, std::size_t shard) const;
-
-  // Term id for router stats probes (util::kInvalidTermId when absent).
-  util::TermId FindTerm(std::string_view token) const {
-    return index_->FindTerm(token);
-  }
+  // Per-(token, shard) statistics for router-side shard selection: the
+  // document frequency of the normalized `token` within `shard` (how many
+  // of the shard's fragments contain it) and the maximum per-fragment
+  // occurrence count, both 0 for an unknown token. A shard whose df is 0
+  // for every query term can be skipped exactly — no relevant fragment
+  // means no seeds and hence an empty local top-k.
+  ShardTermStats TermStats(std::string token, std::size_t shard) const;
 
   // Gather half of Search: merges per-shard top-k lists by (score desc,
   // fragments asc) and truncates to k. Pure compute on already-materialized
@@ -137,6 +140,38 @@ class ShardedEngine {
   // start of term's shard-s group, entry shard_count_ its end.
   std::vector<std::uint32_t> seed_offsets_;
   util::ThreadPool* pool_ = nullptr;  // not owned; nullptr = shared pool
+};
+
+// The ShardedEngine view of the served snapshot, built lazily and cached
+// per generation (a republication invalidates by generation mismatch).
+// Both sharded serving shapes own one: SearchService and ShardNode.
+// The build is a ParallelFor counting sort, i.e. it blocks on the shared
+// pool, so For double-checks under the mutex and builds OUTSIDE it:
+// dash_analyze's lock-block rule rejects holding a mutex across the
+// build, and a slow build must not stall requests that could still serve
+// the previous view. Several requests racing a republication may each
+// build once; the newest generation wins the slot and the rest are
+// dropped when their temporary refcount drains.
+class ShardViewCache {
+ public:
+  explicit ShardViewCache(int num_shards) : num_shards_(num_shards) {}
+
+  // The view of `snapshot`'s generation — always the caller's pinned
+  // generation, even when the slot already holds a newer one, so a
+  // response's X-Dash-Generation matches the snapshot it searched.
+  std::shared_ptr<const ShardedEngine> For(const SnapshotPtr& snapshot)
+      DASH_EXCLUDES(mutex_);
+
+  // Installs `view` unless the slot already holds the same or a newer
+  // generation. Lets a test cluster share ONE pre-built view across all
+  // in-sync replicas instead of building shards×replicas identical ones.
+  void Install(std::shared_ptr<const ShardedEngine> view)
+      DASH_EXCLUDES(mutex_);
+
+ private:
+  const int num_shards_;
+  util::Mutex mutex_;
+  std::shared_ptr<const ShardedEngine> view_ DASH_GUARDED_BY(mutex_);
 };
 
 }  // namespace dash::core

@@ -121,9 +121,9 @@ class VisitedSet {
   std::uint64_t gen_ = 1;  // slots start at gen 0 == empty
 };
 
-// One query term's postings: IDF plus a *borrowed* fragment-sorted span
-// from the index's flat pool (no per-query copy or re-sort — the index
-// precomputes the fragment order at Finalize).
+// One query term's postings: IDF plus the plan's *borrowed* fragment-
+// sorted span (no per-query copy or re-sort — the index precomputes the
+// fragment order at Finalize).
 struct TermPostings {
   double idf = 0;
   std::span<const Posting> by_frag;  // sorted by fragment
@@ -167,43 +167,25 @@ inline bool SingletonLess(FragmentHandle f,
 
 }  // namespace
 
-TopKSearcher::TopKSearcher(const InvertedFragmentIndex& index,
-                           const FragmentCatalog& catalog,
-                           const FragmentGraph& graph,
-                           std::vector<sql::SelectionAttribute> selection,
-                           const webapp::WebAppInfo* app, IdfProvider idf,
-                           SeedSpanSource seed_spans)
-    : index_(&index),
-      catalog_(catalog),
-      graph_(graph),
-      selection_(std::move(selection)),
-      app_(app),
-      idf_(std::move(idf)),
-      seed_spans_(std::move(seed_spans)) {}
-
 TopKSearcher::TopKSearcher(TermPlanSource plan, const FragmentCatalog& catalog,
                            const FragmentGraph& graph,
                            std::vector<sql::SelectionAttribute> selection,
                            const webapp::WebAppInfo* app)
-    : index_(nullptr),
+    : plan_(std::move(plan)),
       catalog_(catalog),
       graph_(graph),
       selection_(std::move(selection)),
-      app_(app),
-      plan_(std::move(plan)) {}
+      app_(app) {}
 
 std::vector<SearchResult> TopKSearcher::Search(
     const std::vector<std::string>& keywords, int k,
     std::uint64_t min_page_words, std::size_t max_seeds,
     SearchDeadline* deadline) const {
-  // Normalize the query with the indexing tokenizer, resolve each token to
-  // its interned TermId once, and drop duplicates.
+  // Normalize the query with the indexing tokenizer and drop duplicates.
   std::vector<std::string> terms;
-  std::vector<util::TermId> term_ids;
   for (const std::string& raw : keywords) {
     for (std::string& tok : util::Tokenize(raw)) {
       if (std::find(terms.begin(), terms.end(), tok) == terms.end()) {
-        if (index_ != nullptr) term_ids.push_back(index_->FindTerm(tok));
         terms.push_back(std::move(tok));
       }
     }
@@ -213,25 +195,14 @@ std::vector<SearchResult> TopKSearcher::Search(
   static const std::vector<FragmentHandle> kNoCandidates;
 
   // Per-term IDF and fragment-sorted postings (line 1 of Algorithm 1),
-  // borrowed straight from the index pools.
+  // one plan per term, borrowed from wherever the source keeps them.
   std::vector<TermPostings> postings(terms.size());
   std::vector<FragmentHandle> relevant;
   std::size_t relevant_cap = 0;
   for (std::size_t t = 0; t < terms.size(); ++t) {
-    if (plan_) {
-      // Plan-driven path: one resolution supplies both the global IDF and
-      // the live by-fragment span (the multi-segment gather).
-      TermPlan plan = plan_(terms[t]);
-      postings[t].idf = plan.idf;
-      postings[t].by_frag = plan.postings;
-    } else {
-      // IDF always comes from the full index (or the explicit override) —
-      // a restricted seed span must not shrink document frequencies.
-      postings[t].idf = idf_ ? idf_(terms[t]) : index_->IdfId(term_ids[t]);
-      postings[t].by_frag = seed_spans_
-                                ? seed_spans_(term_ids[t])
-                                : index_->PostingsByFragment(term_ids[t]);
-    }
+    TermPlan plan = plan_(terms[t]);
+    postings[t].idf = plan.idf;
+    postings[t].by_frag = plan.postings;
     relevant_cap += postings[t].by_frag.size();
     if (postings[t].by_frag.size() * 8 >= catalog_.size()) {
       postings[t].dense.assign(catalog_.size(), 0);

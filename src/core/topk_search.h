@@ -1,12 +1,12 @@
 // Top-k db-page search (paper Section VI-B, Algorithm 1).
 //
 // Seeds a priority queue with the fragments relevant to the queried
-// keywords (from the inverted fragment index), repeatedly dequeues the
-// highest-scoring pending db-page, and either outputs it (when it is not
-// expandable: already >= the size threshold s, or out of neighbors) or
-// expands it by one fragment along the fragment graph, favoring relevant
-// fragments. Relevant fragments absorbed by an expansion are removed from
-// the queue. The URLs of output pages are formulated by reverse query
+// keywords (each resolved through a TermPlanSource, see below), repeatedly
+// dequeues the highest-scoring pending db-page, and either outputs it
+// (when it is not expandable: already >= the size threshold s, or out of
+// neighbors) or expands it by one fragment along the fragment graph,
+// favoring relevant fragments. Relevant fragments absorbed by an expansion
+// are removed from the queue. The URLs of output pages are formulated by reverse query
 // string parsing (the page's equality values + the min/max of its range
 // values).
 //
@@ -63,26 +63,14 @@ struct SearchDeadline {
   std::atomic<bool> expired{false};
 };
 
-// Supplies IDF values; lets a caller override the index's own document
-// frequencies (e.g. to score a pruned index with the unpruned df).
-using IdfProvider = std::function<double(const std::string& keyword)>;
-
-// Restricts a query term's fragment-sorted posting span. The sharded
-// engine passes per-(term, shard) views into one shared pool so each
-// shard seeds — and probes — only its own fragments while borrowing the
-// global index, catalog and graph (no per-shard index copy). The returned
-// span must be fragment-ascending and a subset of the index's own
-// PostingsByFragment span; util::kInvalidTermId must yield an empty span.
-using SeedSpanSource =
-    std::function<std::span<const Posting>(util::TermId term)>;
-
-// Everything the searcher needs for one normalized query token when no
-// single InvertedFragmentIndex exists: the exact global IDF and a
-// fragment-ascending posting span over catalog handles. A multi-segment
-// IndexSnapshot supplies these by gathering across its segments
-// (IndexSnapshot::GatherTerm); the span must stay valid for the duration
-// of the Search call that requested it. An unknown token yields idf 0 and
-// an empty span.
+// Everything the searcher needs for one normalized query token: its IDF
+// and a fragment-ascending posting span over catalog handles. This is the
+// searcher's only view of the inverted index. An IndexSnapshot supplies
+// it from its own index or by gathering across segments
+// (IndexSnapshot::GatherTerm); a ShardedEngine supplies the global IDF
+// with the shard's slice of the span, so each shard seeds only its own
+// fragments. The span must stay valid for the duration of the Search call
+// that requested it. An unknown token yields idf 0 and an empty span.
 struct TermPlan {
   double idf = 0;
   std::span<const Posting> postings;  // fragment ascending
@@ -93,22 +81,12 @@ class TopKSearcher {
  public:
   // All referenced objects must outlive the searcher. `app` may be null
   // (no URL formulation). `selection` must match the catalog's identifier
-  // layout (Crawler::selection()). `idf` overrides the index's own IDF
-  // when provided; `seed_spans` overrides the per-term posting spans (see
-  // SeedSpanSource — only sound when every graph-reachable occurrence of
-  // each term lies inside the restricted span, as equality-group sharding
-  // guarantees).
-  TopKSearcher(const InvertedFragmentIndex& index,
-               const FragmentCatalog& catalog, const FragmentGraph& graph,
-               std::vector<sql::SelectionAttribute> selection,
-               const webapp::WebAppInfo* app = nullptr,
-               IdfProvider idf = nullptr, SeedSpanSource seed_spans = nullptr);
-
-  // Plan-driven form: no inverted index at all — every token resolves
-  // through `plan` (see TermPlanSource). The walk itself (seeding,
-  // expansion, scoring, output order) is identical, so a plan that
-  // reproduces an index's IDFs and by-fragment spans reproduces its
-  // answers bit-for-bit.
+  // layout (Crawler::selection()). Every query token resolves through
+  // `plan` (see TermPlanSource); the walk itself (seeding, expansion,
+  // scoring, output order) depends only on the plans, so two sources that
+  // yield the same IDFs and spans yield the same answers bit-for-bit. A
+  // restricted span is only sound when every graph-reachable occurrence
+  // of each term lies inside it, as equality-group sharding guarantees.
   TopKSearcher(TermPlanSource plan, const FragmentCatalog& catalog,
                const FragmentGraph& graph,
                std::vector<sql::SelectionAttribute> selection,
@@ -139,14 +117,11 @@ class TopKSearcher {
       DASH_HOT_PATH;
 
  private:
-  const InvertedFragmentIndex* index_;  // null on the plan-driven path
+  TermPlanSource plan_;
   const FragmentCatalog& catalog_;
   const FragmentGraph& graph_;
   std::vector<sql::SelectionAttribute> selection_;
   const webapp::WebAppInfo* app_;
-  IdfProvider idf_;
-  SeedSpanSource seed_spans_;
-  TermPlanSource plan_;
 };
 
 }  // namespace dash::core

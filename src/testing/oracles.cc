@@ -774,8 +774,10 @@ OracleReport CheckInstance(const RandomInstance& inst,
   //   (a) the live multi-segment snapshot answers exactly like a fresh
   //       rebuild of the current database (so tombstone-then-search ==
   //       search-without-doc, and shadowing resolves to the newest
-  //       definition), and
-  //   (b) merge(A, B) == rebuild(A ∪ B): folding the two newest segments
+  //       definition),
+  //   (b) with check_sharded, every ShardedEngine view of that snapshot
+  //       (the multi-segment sharding path) answers exactly like it, and
+  //   (c) merge(A, B) == rebuild(A ∪ B): folding the two newest segments
   //       with MergeSegments yields a snapshot with an identical live
   //       fingerprint and identical answers — compaction can never change
   //       what readers see, only when it happens.
@@ -823,7 +825,41 @@ OracleReport CheckInstance(const RandomInstance& inst,
           return;
         }
 
-        // (b) Folding the newest pair must be invisible to readers.
+        // (b) Sharding the live (possibly multi-segment) snapshot keeps
+        // the answer: exhaustive-k sharded search renders byte-identically
+        // to the segmented search (the sharded invariant's rule — no
+        // truncation boundary, so any s), and merging the per-shard legs
+        // reproduces the sharded search, as a router's gather would.
+        if (options.check_sharded) {
+          const int k_full = static_cast<int>(snap->catalog().size()) + 1;
+          const std::string expect = core::SearchService::RenderResults(
+              snap->Search(keywords, k_full, 20));
+          for (int shards : options.shard_counts) {
+            core::ShardedEngine sharded_view(snap, shards);
+            const std::string got = core::SearchService::RenderResults(
+                sharded_view.Search(keywords, k_full, 20));
+            std::string mode = std::to_string(shards) + "-shard view";
+            if (got != expect) {
+              fail(ctx + ": " + mode + " exhaustive search for '" +
+                   Join(keywords) + "' differs from the segmented search");
+              return;
+            }
+            std::vector<std::vector<SearchResult>> legs;
+            for (std::size_t s = 0; s < sharded_view.shard_count(); ++s) {
+              legs.push_back(
+                  sharded_view.SearchShard(s, keywords, k_full, 20));
+            }
+            if (core::SearchService::RenderResults(
+                    core::ShardedEngine::MergeShardResults(std::move(legs),
+                                                           k_full)) != got) {
+              fail(ctx + ": " + mode + " merged shard legs for '" +
+                   Join(keywords) + "' differ from its Search");
+              return;
+            }
+          }
+        }
+
+        // (c) Folding the newest pair must be invisible to readers.
         if (snap->segment_count() >= 2) {
           std::vector<core::SegmentPtr> folded(snap->segments());
           core::SegmentPtr merged = core::MergeSegments(

@@ -93,16 +93,17 @@ TEST(FuzzSmoke, DirectedOuterJoin) {
 // Sustained mixed insert/delete/search workload: the segmented
 // UpdatableIndex accumulates delta segments + compactions while every op
 // is cross-checked against a fresh rebuild and the merge(A,B) ≡
-// rebuild(A∪B) invariant (tools/dash_fuzz --mixed-writes runs the same
-// oracle over the full sweep). The other oracles are disabled so this
-// block's runtime is the write workload itself.
+// rebuild(A∪B) invariant, and every ShardedEngine view of each
+// multi-segment snapshot against the segmented search (tools/dash_fuzz
+// --mixed-writes runs the same oracle over the full sweep). The other
+// oracles are disabled so this block's runtime is the write workload
+// itself.
 TEST(FuzzSmoke, DirectedMixedWrites) {
   OracleOptions options;
   options.check_crawl_equivalence = false;
   options.check_graph = false;
   options.check_search = false;
   options.check_page_engine = false;
-  options.check_sharded = false;
   options.check_save_load = false;
   options.check_updates = false;
   options.check_server = false;

@@ -22,8 +22,11 @@ namespace {
 // Top-k search invariants, swept over (k, s) on fooddb and TPC-H tiny.
 // ---------------------------------------------------------------------
 
+// Both fields are 64-bit so the struct has no padding: gtest prints a
+// parameter's raw bytes into the test's listed name, and indeterminate
+// padding bytes would make that name differ from build to build.
 struct TopKCase {
-  int k;
+  std::int64_t k;
   std::uint64_t s;
 };
 
@@ -56,7 +59,7 @@ TEST_P(TopKPropertyTest, ResultInvariantsHold) {
   ASSERT_GE(by_df.size(), 2u);
   for (const std::string& keyword :
        {by_df.front().first, by_df[by_df.size() / 2].first}) {
-    auto results = engine.Search({keyword}, k, s);
+    auto results = engine.Search({keyword}, static_cast<int>(k), s);
     EXPECT_LE(results.size(), static_cast<std::size_t>(k));
 
     std::set<std::vector<core::FragmentHandle>> seen_pages;

@@ -9,11 +9,14 @@
 // single canonical build of the same surviving fragments.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -270,6 +273,26 @@ TEST_F(SegmentTest, SingleIndexAccessorsThrowOnMultiSegment) {
       app_, {MakeSegment(BaseBuild()), MakeSegment(MakeBuild({}))});
   EXPECT_THROW(multi->index(), std::logic_error);
   EXPECT_THROW(multi->build(), std::logic_error);
+}
+
+// A single-segment snapshot has no local→global maps to gather through:
+// GatherTerm must hand back the index's own by-fragment span (borrowed,
+// not copied) and its IDF, for known and unknown tokens alike.
+TEST_F(SegmentTest, GatherTermOnSingleSegmentBorrowsTheIndex) {
+  SnapshotPtr single = IndexSnapshot::Create(app_, BaseBuild());
+  ASSERT_EQ(single->segment_count(), 1u);
+  const InvertedFragmentIndex& index = single->index();
+  for (std::string_view token : {"burger", "no-such-token"}) {
+    util::TermId id = index.FindTerm(token);
+    std::span<const Posting> want = index.PostingsByFragment(id);
+    TermPlan plan = single->GatherTerm(token);
+    EXPECT_EQ(plan.idf, index.IdfId(id)) << token;
+    EXPECT_TRUE(std::ranges::equal(plan.postings, want)) << token;
+    if (!want.empty()) {
+      EXPECT_EQ(plan.postings.data(), want.data()) << token;
+    }
+  }
+  EXPECT_FALSE(single->GatherTerm("burger").postings.empty());
 }
 
 TEST_F(SegmentTest, UpdatableIndexAccumulatesAndCompactsSegments) {

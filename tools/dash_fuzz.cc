@@ -59,7 +59,8 @@ struct Args {
       << "  --mixed-writes sustained interleaved insert/delete/search\n"
       << "                 workload driving the segment-merge invariants\n"
       << "                 (merge(A,B) == rebuild(A||B); tombstoned docs\n"
-      << "                 vanish from answers); "
+      << "                 vanish from answers; sharded views of every\n"
+      << "                 segmented snapshot answer alike); "
       << OracleOptions{}.mixed_write_ops << " ops per instance\n"
       << "  --mixed-ops N  override the mixed-writes op count\n"
       << "  --no-shrink    report the original failing instance unshrunk\n"
