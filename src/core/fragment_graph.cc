@@ -21,6 +21,16 @@ bool InBox(const db::Row& a, const db::Row& b, const db::Row& mid,
   return true;
 }
 
+// Shard key of an equality group: an FNV-style mix of its eq-value prefix.
+std::uint64_t ShardKey(const db::Row& id, std::size_t num_eq) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t d = 0; d < num_eq; ++d) {
+    h ^= id[d].Hash();
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 }  // namespace
 
 FragmentGraph FragmentGraph::Build(const FragmentCatalog& catalog,
@@ -59,6 +69,8 @@ FragmentGraph FragmentGraph::Build(const FragmentCatalog& catalog,
     std::uint32_t g = static_cast<std::uint32_t>(graph.groups_.size());
     graph.groups_.emplace_back(static_cast<FragmentHandle>(begin),
                                static_cast<FragmentHandle>(end - 1));
+    graph.group_keys_.push_back(
+        ShardKey(catalog.id(static_cast<FragmentHandle>(begin)), num_eq));
     for (std::size_t i = begin; i < end; ++i) {
       graph.group_of_[i] = g;
     }

@@ -19,6 +19,12 @@
 // (equality prefix first), so each equality group is a contiguous handle
 // run already sorted by range values, and the <=1-range-attribute cases
 // reduce to linking neighbors.
+//
+// Because a page never leaves its equality group, the group is also the
+// unit of sharding: Build records each group's shard key (a hash of the
+// eq-value prefix), and shard i of S owns the groups whose key is i mod S
+// (ShardOf). IndexSnapshot applies that filter when it resolves a term
+// for one shard, so a shard needs no index of its own.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +62,14 @@ class FragmentGraph {
   std::pair<FragmentHandle, FragmentHandle> GroupSpan(std::uint32_t g) const {
     return groups_[g];
   }
+  // Shard of `f` when the fragments are split into `shard_count` shards:
+  // its group's shard key modulo the count, so whole groups stay together
+  // (with no equality attributes there is one group, and every fragment
+  // lands in one shard — the group cannot be split without breaking page
+  // assembly).
+  std::size_t ShardOf(FragmentHandle f, std::size_t shard_count) const {
+    return group_keys_[group_of_[f]] % shard_count;
+  }
 
   std::size_t node_count() const { return adjacency_.size(); }
   std::size_t edge_count() const;
@@ -68,6 +82,7 @@ class FragmentGraph {
   std::vector<std::vector<FragmentHandle>> adjacency_;
   std::vector<std::pair<FragmentHandle, FragmentHandle>> groups_;
   std::vector<std::uint32_t> group_of_;
+  std::vector<std::uint64_t> group_keys_;  // group -> shard key
   std::size_t num_eq_ = 0;
   std::size_t num_range_ = 0;
   Stats stats_;

@@ -18,7 +18,8 @@ std::atomic<std::uint64_t> g_next_generation{0};
 // `used` before constructing its searcher; every span GatherTerm hands
 // out then stays untouched until the *next* Search on this thread begins,
 // which is after the current one returned — searches never nest on a
-// thread.
+// thread. Callers of GatherTerm outside Search reset it the same way
+// (IndexSnapshot::ReclaimGatherScratch).
 struct GatherScratch {
   std::vector<std::vector<Posting>> buffers;
   std::size_t used = 0;
@@ -219,16 +220,39 @@ FragmentIndexBuild IndexSnapshot::MergedBuild() const {
   return out;
 }
 
-TermPlan IndexSnapshot::GatherTerm(std::string_view token) const {
+TermPlan IndexSnapshot::GatherTerm(std::string_view token,
+                                   ShardSlice slice) const {
+  auto owned = [&](FragmentHandle f) {
+    return slice.count == 1 || graph_.ShardOf(f, slice.count) == slice.index;
+  };
+  GatherScratch& scratch = g_gather;
+  // The next reusable posting buffer. Scratch warm-up: grows once per
+  // high-water term count on this thread, then every later query reuses
+  // the buffers (clear keeps capacity) — the steady state the hot-path
+  // contract is about.
+  auto next_buffer = [&](std::size_t capacity) -> std::vector<Posting>& {
+    if (scratch.used == scratch.buffers.size()) scratch.buffers.emplace_back();
+    std::vector<Posting>& out = scratch.buffers[scratch.used++];
+    out.clear();
+    out.reserve(capacity);
+    return out;
+  };
   if (segments_.size() == 1) {
     // One segment: its own index already holds the live span and df, so
-    // borrow them — no copy, no scratch, no handle mapping.
+    // the whole snapshot borrows them — no copy, no scratch, no handle
+    // mapping. A proper slice copies out the postings it owns.
     const InvertedFragmentIndex& index = segments_[0]->index();
     util::TermId id = index.FindTerm(token);
-    return TermPlan{index.IdfId(id), index.PostingsByFragment(id)};
+    TermPlan plan{index.IdfId(id), index.PostingsByFragment(id)};
+    if (slice.count == 1 || plan.postings.empty()) return plan;
+    std::vector<Posting>& out = next_buffer(plan.postings.size());
+    for (const Posting& p : plan.postings) {
+      if (owned(p.fragment)) out.push_back(p);
+    }
+    plan.postings = {out.data(), out.size()};
+    return plan;
   }
   TermPlan plan;
-  GatherScratch& scratch = g_gather;
   scratch.spans.clear();
   scratch.maps.clear();
   std::size_t total = 0;
@@ -242,20 +266,14 @@ TermPlan IndexSnapshot::GatherTerm(std::string_view token) const {
     total += span.size();
   }
   if (scratch.spans.empty()) return plan;
-  if (scratch.used == scratch.buffers.size()) {
-    // Scratch warm-up: grows once per high-water term count on this
-    // thread, then every later query reuses the buffers (clear keeps
-    // capacity) — the steady state the hot-path contract is about.
-    scratch.buffers.emplace_back();
-  }
-  std::vector<Posting>& out = scratch.buffers[scratch.used++];
-  out.clear();
-  out.reserve(total);
+  std::vector<Posting>& out = next_buffer(total);
   // K-way merge on global handle. Each live fragment is defined by
   // exactly one segment (shadowed/tombstoned definitions map to
   // kDeadFragment), so the merge never has to combine duplicates, and
   // segment-local fragment-ascending order maps monotonically to global
-  // ascending order (both catalogs are canonical over identifiers).
+  // ascending order (both catalogs are canonical over identifiers). Every
+  // live posting counts toward the df; only the slice's are kept.
+  std::size_t live = 0;
   scratch.cursor.assign(scratch.spans.size(), 0);
   for (;;) {
     std::size_t best = scratch.spans.size();
@@ -275,31 +293,38 @@ TermPlan IndexSnapshot::GatherTerm(std::string_view token) const {
       }
     }
     if (best == scratch.spans.size()) break;
-    out.push_back(
-        Posting{best_g, scratch.spans[best][scratch.cursor[best]].occurrences});
+    ++live;
+    if (owned(best_g)) {
+      out.push_back(Posting{
+          best_g, scratch.spans[best][scratch.cursor[best]].occurrences});
+    }
     ++scratch.cursor[best];
   }
-  if (!out.empty()) {
+  if (live > 0) {
     // IDF over the *live* document frequency — exactly what a rebuilt
     // single index would report for this token.
-    plan.idf = 1.0 / static_cast<double>(out.size());
+    plan.idf = 1.0 / static_cast<double>(live);
   }
   plan.postings = {out.data(), out.size()};
   return plan;
 }
 
+void IndexSnapshot::ReclaimGatherScratch() { g_gather.used = 0; }
+
 std::vector<SearchResult> IndexSnapshot::Search(
     const std::vector<std::string>& keywords, int k,
     std::uint64_t min_page_words, std::size_t max_seeds,
-    SearchDeadline* deadline) const {
+    SearchDeadline* deadline, ShardSlice slice) const {
   // The searcher only binds references into this snapshot, so constructing
   // one per call is free and needs no synchronization. Every term resolves
   // through GatherTerm. Reclaim this thread's gather buffers first — any
   // spans handed to a previous Search on this thread are dead once that
-  // call returned (an empty query reclaims them without searching).
-  g_gather.used = 0;
-  TopKSearcher searcher([this](std::string_view token) {
-    return GatherTerm(token);
+  // call returned (an empty query reclaims them without searching). The
+  // walk never leaves an equality group, so seeding only the slice's
+  // postings keeps it inside the slice.
+  ReclaimGatherScratch();
+  TopKSearcher searcher([this, slice](std::string_view token) {
+    return GatherTerm(token, slice);
   }, *catalog_view_, graph_, selection_, has_app_ ? &app_ : nullptr);
   return searcher.Search(keywords, k, min_page_words, max_seeds, deadline);
 }

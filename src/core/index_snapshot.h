@@ -52,6 +52,14 @@ using SnapshotPtr = std::shared_ptr<const IndexSnapshot>;
 // never collide in a shared cache).
 std::uint64_t NextSnapshotGeneration();
 
+// Shard `index` of `count`: the fragments whose equality group the graph
+// assigns to that shard (FragmentGraph::ShardOf). The default, {0, 1}, is
+// the whole snapshot.
+struct ShardSlice {
+  std::size_t index = 0;
+  std::size_t count = 1;
+};
+
 class IndexSnapshot {
  public:
   // Builds a single-segment snapshot from a finalized index build.
@@ -102,9 +110,9 @@ class IndexSnapshot {
   std::size_t segment_count() const { return segments_.size(); }
 
   // Rebuilds the live state as one canonical finalized build (handles
-  // equal to catalog()'s). Cold: used by save/load, sharded-view
-  // construction and the updater's build() accessor — bit-identical to a
-  // from-scratch rebuild of the same fragments.
+  // equal to catalog()'s). Cold: used by save/load and the updater's
+  // build() accessor — bit-identical to a from-scratch rebuild of the same
+  // fragments.
   FragmentIndexBuild MergedBuild() const DASH_COLD_PATH;
 
   // Top-k search against this snapshot (Algorithm 1; see topk_search.h for
@@ -112,25 +120,38 @@ class IndexSnapshot {
   // and safe from any number of threads. Every snapshot runs one best-first
   // walk with its terms resolved by GatherTerm, so a multi-segment answer
   // is the exact global top-k over the merged live view, not a per-segment
-  // approximation. Each call first reclaims this thread's gather scratch,
-  // even for an empty query.
+  // approximation. With a `slice`, the walk seeds only that shard's
+  // fragments: the shard's local top-k, one scatter leg of a sharded
+  // search. Each call first reclaims this thread's gather scratch, even
+  // for an empty query.
   std::vector<SearchResult> Search(const std::vector<std::string>& keywords,
                                    int k, std::uint64_t min_page_words,
                                    std::size_t max_seeds = 0,
-                                   SearchDeadline* deadline = nullptr) const;
+                                   SearchDeadline* deadline = nullptr,
+                                   ShardSlice slice = {}) const;
 
-  // Resolves one query token to its live IDF and fragment-ascending span
-  // (the TermPlanSource behind Search). A single-segment snapshot borrows
-  // its index's own span and IDF. A multi-segment snapshot gathers: it
-  // resolves the token against every segment and k-way-merges the
-  // surviving postings (local handles mapped to global, shadowed/
-  // tombstoned definitions masked) into one span with the exact global
-  // IDF; that span borrows thread-local scratch that stays valid until
-  // this thread's next Search begins. Hot: this is the per-term serving
-  // path, so dash_analyze holds it to the same purity contract as
-  // TopKSearcher::Search (the scratch is capacity-reusing, steady-state
-  // allocation-free).
-  TermPlan GatherTerm(std::string_view token) const DASH_HOT_PATH;
+  // Resolves one query token to its live IDF and the fragment-ascending
+  // span of the postings `slice` owns (the TermPlanSource behind Search).
+  // The IDF is always the global live one: a slice narrows the span, never
+  // the document frequency. A single-segment snapshot borrows its index's
+  // own span and IDF, and for a proper slice copies the owned postings
+  // into gather scratch. A multi-segment snapshot gathers: it resolves the
+  // token against every segment and k-way-merges the surviving postings
+  // (local handles mapped to global, shadowed/tombstoned definitions
+  // masked, the slice filter applied in the merge) into one span with the
+  // exact global IDF. A scratch-backed span stays valid until this
+  // thread's next ReclaimGatherScratch (which every Search begins with).
+  // Hot: this is the per-term serving path, so dash_analyze holds it to
+  // the same purity contract as TopKSearcher::Search (the scratch is
+  // capacity-reusing, steady-state allocation-free).
+  TermPlan GatherTerm(std::string_view token, ShardSlice slice = {}) const
+      DASH_HOT_PATH;
+
+  // Hands this thread's gather scratch back for reuse, invalidating every
+  // span GatherTerm returned on this thread. Search calls it first; a
+  // caller of GatherTerm outside Search calls it before each batch of
+  // terms, or the scratch grows by one buffer per term.
+  static void ReclaimGatherScratch();
 
  private:
   IndexSnapshot(webapp::WebAppInfo app, bool has_app,

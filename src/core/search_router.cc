@@ -66,8 +66,7 @@ ShardNode::ShardNode(const SnapshotPublisher& publisher, int shard_index,
                      int shard_total)
     : publisher_(&publisher),
       shard_index_(shard_index),
-      shard_total_(shard_total),
-      views_(shard_total) {
+      shard_total_(shard_total) {
   if (shard_total < 1 || shard_index < 0 || shard_index >= shard_total) {
     throw std::invalid_argument("ShardNode: bad shard index/total");
   }
@@ -86,9 +85,9 @@ ShardReply ShardNode::ServeShard(const std::vector<std::string>& keywords,
                           std::chrono::milliseconds(deadline_ms);
     deadline = &deadline_storage;
   }
-  reply.results = views_.For(snapshot)->SearchShard(
-      static_cast<std::size_t>(shard_index_), keywords, k, min_page_words,
-      deadline);
+  reply.results = ShardedEngine(snapshot, shard_total_)
+                      .SearchShard(static_cast<std::size_t>(shard_index_),
+                                   keywords, k, min_page_words, deadline);
   reply.ok = true;
   reply.partial = deadline != nullptr &&
                   deadline->expired.load(std::memory_order_relaxed);
@@ -101,11 +100,11 @@ ShardStatsReply ShardNode::TermStatsFor(
   ShardStatsReply reply;
   SnapshotPtr snapshot = publisher_->Current();
   if (snapshot == nullptr) return reply;
-  std::shared_ptr<const ShardedEngine> view = views_.For(snapshot);
+  const ShardedEngine view(snapshot, shard_total_);
   const auto shard = static_cast<std::size_t>(shard_index_);
   for (const std::string& keyword : keywords) {
     for (std::string& token : util::Tokenize(keyword)) {
-      reply.terms.push_back(view->TermStats(std::move(token), shard));
+      reply.terms.push_back(view.TermStats(std::move(token), shard));
     }
   }
   reply.ok = true;

@@ -127,17 +127,10 @@ class ShardNode {
   int shard_total() const { return shard_total_; }
   std::uint64_t generation() const { return publisher_->CurrentGeneration(); }
 
-  // Pre-warms the per-generation view cache with an already-built engine
-  // (see ShardViewCache::Install).
-  void WarmView(std::shared_ptr<const ShardedEngine> view) {
-    views_.Install(std::move(view));
-  }
-
  private:
   const SnapshotPublisher* const publisher_;
   const int shard_index_;
   const int shard_total_;
-  ShardViewCache views_;
 };
 
 // Transport to an in-process ShardNode (not owned; must outlive).

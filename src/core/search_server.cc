@@ -51,8 +51,7 @@ SearchService::SearchService(const SnapshotPublisher& publisher,
       options_(options),
       cache_(options.cache_capacity > 0
                  ? std::make_unique<ResultCache>(options.cache_capacity)
-                 : nullptr),
-      shard_views_(options.shards) {}
+                 : nullptr) {}
 
 std::string SearchService::RenderResults(
     const std::vector<SearchResult>& results) {
@@ -263,8 +262,8 @@ webapp::HttpResponse SearchService::HandleSearch(
 }
 
 // The cache-miss slow path. DASH_COLD_PATH: HandleSearch (hot) may call
-// this, and everything here — the debug delay, a sharded-view rebuild,
-// the engine walk, the cache fill — is sanctioned slow-path work that
+// this, and everything here — the debug delay, the engine walk (sharded
+// or not), the cache fill — is sanctioned slow-path work that
 // dash_analyze's purity walk deliberately does not descend into.
 std::vector<SearchResult> SearchService::ExecuteSearch(
     const SnapshotPtr& snapshot, const std::vector<std::string>& keywords,
@@ -295,12 +294,12 @@ std::vector<SearchResult> SearchService::ExecuteSearch(
     // the router's fan-out, on the calling thread (the router owns the
     // cross-shard parallelism). The cache stays correct because a node's
     // shard index is fixed for its lifetime.
-    results = shard_views_.For(snapshot)->SearchShard(
-        static_cast<std::size_t>(options_.shard_index), keywords, k,
-        min_page_words, deadline);
+    results = ShardedEngine(snapshot, options_.shards)
+                  .SearchShard(static_cast<std::size_t>(options_.shard_index),
+                               keywords, k, min_page_words, deadline);
   } else if (options_.shards > 0) {
-    results = shard_views_.For(snapshot)->Search(keywords, k, min_page_words,
-                                                 deadline);
+    results = ShardedEngine(snapshot, options_.shards)
+                  .Search(keywords, k, min_page_words, deadline);
   } else {
     results = snapshot->Search(keywords, k, min_page_words, /*max_seeds=*/0,
                                deadline);
@@ -348,11 +347,11 @@ webapp::HttpResponse SearchService::HandleShardStats(
     bad_request_.fetch_add(1, std::memory_order_relaxed);
     return TextResponse(400, "missing q parameter\n");
   }
-  std::shared_ptr<const ShardedEngine> view = shard_views_.For(snapshot);
+  const ShardedEngine view(snapshot, options_.shards);
   const auto shard = static_cast<std::size_t>(options_.shard_index);
   std::string body = "terms " + std::to_string(tokens.size()) + "\n";
   for (std::string& token : tokens) {
-    ShardTermStats stats = view->TermStats(std::move(token), shard);
+    ShardTermStats stats = view.TermStats(std::move(token), shard);
     body += "T\t";
     body += stats.token;
     body += '\t';

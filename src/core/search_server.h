@@ -163,8 +163,8 @@ class SearchService {
   webapp::HttpResponse HandleShardStats(const webapp::HttpRequest& request);
 
   // The sanctioned slow path: everything a cache miss is allowed to do —
-  // the debug delay, the engine search (possibly building a sharded view)
-  // and the cache fill. DASH_COLD_PATH stops the hot-path purity walk
+  // the debug delay, the engine search (sharded or not) and the cache
+  // fill. DASH_COLD_PATH stops the hot-path purity walk
   // here; dash_analyze lists the boundary in its audit summary.
   std::vector<SearchResult> ExecuteSearch(const SnapshotPtr& snapshot,
                                           const std::vector<std::string>& keywords,
@@ -180,9 +180,6 @@ class SearchService {
   std::function<webapp::HttpServer::Stats()> transport_stats_
       DASH_GUARDED_BY(stats_mutex_);
   std::function<std::uint64_t()> compactions_ DASH_GUARDED_BY(stats_mutex_);
-
-  // Sharded views of the served snapshot (unused when shards == 0).
-  ShardViewCache shard_views_;
 
   // Highest generation the cache has been purged for (ExecuteSearch
   // sweeps superseded entries once per observed generation change, on the

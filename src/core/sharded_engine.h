@@ -14,15 +14,16 @@
 // monotonicity note in topk_search.h for the edge case).
 //
 // All shards share ONE immutable IndexSnapshot — catalog, inverted index
-// (and so the interned term dictionary), fragment graph, and app info.
-// Nothing is deep-copied per shard. A shard is just a view: a per-fragment
-// shard assignment plus, for every (term, shard) pair, a contiguous
-// fragment-ascending slice of one rearranged posting pool. A shard's
-// searcher resolves each term to a TermPlan of that slice and the global
-// IDF (topk_search.h). Since the graph never crosses equality groups, a
-// shard's searcher can probe the global structures and still stay
-// entirely inside its slice. Scores are globally comparable for free: IDF
-// comes from the shared global index.
+// (and so the interned term dictionary), fragment graph, and app info —
+// and a shard owns no state of its own: shard i of N is the slice of the
+// snapshot whose equality groups the graph assigns to i
+// (FragmentGraph::ShardOf). IndexSnapshot::GatherTerm applies that filter
+// when it resolves a term, over one segment or many, so a shard's searcher
+// seeds only its own fragments and, since the graph never crosses
+// equality groups, stays entirely inside its slice. Scores are globally
+// comparable for free: the IDF is always the snapshot's global live df.
+// Constructing a view therefore builds and allocates nothing; serving
+// layers make one per request.
 //
 // Scatter-gather runs on a persistent util::ThreadPool (per-query thread
 // spawning costs more than a warm shard search). Results are independent
@@ -30,15 +31,11 @@
 // merge is a deterministic sort.
 #pragma once
 
-#include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "core/dash_engine.h"
 #include "util/analysis_annotations.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace dash::core {
@@ -53,25 +50,22 @@ struct ShardTermStats {
 class ShardedEngine {
  public:
   // Partitions the build into `num_shards` shard views over one shared
-  // snapshot. Shard-view construction (a counting sort of the posting
-  // pool) is distributed across `pool` (default: the process-wide shared
-  // pool), which also serves Search's scatter phase.
+  // snapshot. `pool` (default: the process-wide shared pool) serves
+  // Search's scatter phase.
   ShardedEngine(webapp::WebAppInfo app, FragmentIndexBuild build,
                 int num_shards, util::ThreadPool* pool = nullptr);
 
-  // Shares an already-published snapshot: no index state is copied at all.
+  // Shares an already-published snapshot: nothing is copied or built.
   explicit ShardedEngine(SnapshotPtr snapshot, int num_shards,
                          util::ThreadPool* pool = nullptr);
 
   std::size_t shard_count() const { return shard_count_; }
   // Shard holding `fragment` (a handle into the shared snapshot catalog).
   std::size_t shard_of(FragmentHandle fragment) const {
-    return shard_of_[fragment];
+    return snapshot_->graph().ShardOf(fragment, shard_count_);
   }
-  // Number of fragments assigned to `shard`.
-  std::size_t shard_fragment_count(std::size_t shard) const {
-    return shard_sizes_[shard];
-  }
+  // Number of fragments assigned to `shard` (a walk over the catalog).
+  std::size_t shard_fragment_count(std::size_t shard) const;
   // The snapshot all shards serve from.
   const SnapshotPtr& snapshot() const { return snapshot_; }
 
@@ -99,7 +93,8 @@ class ShardedEngine {
   // of the shard's fragments contain it) and the maximum per-fragment
   // occurrence count, both 0 for an unknown token. A shard whose df is 0
   // for every query term can be skipped exactly — no relevant fragment
-  // means no seeds and hence an empty local top-k.
+  // means no seeds and hence an empty local top-k. Like a Search, it
+  // reclaims the calling thread's gather scratch.
   ShardTermStats TermStats(std::string token, std::size_t shard) const;
 
   // Gather half of Search: merges per-shard top-k lists by (score desc,
@@ -113,65 +108,14 @@ class ShardedEngine {
   std::size_t fragment_count() const { return snapshot_->catalog().size(); }
 
  private:
-  // Fragment-ascending postings of `term` that live in `shard`.
-  std::span<const Posting> SeedSpan(util::TermId term,
-                                    std::size_t shard) const;
-
+  ShardSlice slice(std::size_t shard) const { return {shard, shard_count_}; }
   util::ThreadPool& pool() const {
     return pool_ != nullptr ? *pool_ : util::ThreadPool::Shared();
   }
 
   SnapshotPtr snapshot_;
-  // Multi-segment snapshots get their live state materialized once into a
-  // single merged build (handles identical to the snapshot catalog's);
-  // single-segment snapshots borrow their index directly. `index_` points
-  // at whichever one applies — shard views always address one flat index.
-  std::unique_ptr<const FragmentIndexBuild> owned_build_;
-  const InvertedFragmentIndex* index_ = nullptr;
   std::size_t shard_count_ = 0;
-  std::vector<std::uint32_t> shard_of_;    // fragment -> shard
-  std::vector<std::size_t> shard_sizes_;   // shard -> fragment count
-  // The index's by-fragment posting pool rearranged term-major, grouped by
-  // shard, fragment-ascending within each group — every (term, shard) seed
-  // span is one contiguous slice. Same total size as the source pool, so
-  // sharding costs one pool regardless of N.
-  std::vector<Posting> seed_pool_;
-  // (shard_count_ + 1) offsets per term into seed_pool_: entry s is the
-  // start of term's shard-s group, entry shard_count_ its end.
-  std::vector<std::uint32_t> seed_offsets_;
   util::ThreadPool* pool_ = nullptr;  // not owned; nullptr = shared pool
-};
-
-// The ShardedEngine view of the served snapshot, built lazily and cached
-// per generation (a republication invalidates by generation mismatch).
-// Both sharded serving shapes own one: SearchService and ShardNode.
-// The build is a ParallelFor counting sort, i.e. it blocks on the shared
-// pool, so For double-checks under the mutex and builds OUTSIDE it:
-// dash_analyze's lock-block rule rejects holding a mutex across the
-// build, and a slow build must not stall requests that could still serve
-// the previous view. Several requests racing a republication may each
-// build once; the newest generation wins the slot and the rest are
-// dropped when their temporary refcount drains.
-class ShardViewCache {
- public:
-  explicit ShardViewCache(int num_shards) : num_shards_(num_shards) {}
-
-  // The view of `snapshot`'s generation — always the caller's pinned
-  // generation, even when the slot already holds a newer one, so a
-  // response's X-Dash-Generation matches the snapshot it searched.
-  std::shared_ptr<const ShardedEngine> For(const SnapshotPtr& snapshot)
-      DASH_EXCLUDES(mutex_);
-
-  // Installs `view` unless the slot already holds the same or a newer
-  // generation. Lets a test cluster share ONE pre-built view across all
-  // in-sync replicas instead of building shards×replicas identical ones.
-  void Install(std::shared_ptr<const ShardedEngine> view)
-      DASH_EXCLUDES(mutex_);
-
- private:
-  const int num_shards_;
-  util::Mutex mutex_;
-  std::shared_ptr<const ShardedEngine> view_ DASH_GUARDED_BY(mutex_);
 };
 
 }  // namespace dash::core

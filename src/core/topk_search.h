@@ -65,12 +65,12 @@ struct SearchDeadline {
 
 // Everything the searcher needs for one normalized query token: its IDF
 // and a fragment-ascending posting span over catalog handles. This is the
-// searcher's only view of the inverted index. An IndexSnapshot supplies
-// it from its own index or by gathering across segments
-// (IndexSnapshot::GatherTerm); a ShardedEngine supplies the global IDF
-// with the shard's slice of the span, so each shard seeds only its own
-// fragments. The span must stay valid for the duration of the Search call
-// that requested it. An unknown token yields idf 0 and an empty span.
+// searcher's only view of the inverted index. IndexSnapshot::GatherTerm
+// supplies it, from its own index or by gathering across segments; for a
+// shard slice it keeps the global IDF and narrows the span to the
+// postings that shard owns, so each shard seeds only its own fragments.
+// The span must stay valid for the duration of the Search call that
+// requested it. An unknown token yields idf 0 and an empty span.
 struct TermPlan {
   double idf = 0;
   std::span<const Posting> postings;  // fragment ascending

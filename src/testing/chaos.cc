@@ -125,12 +125,8 @@ TestCluster::TestCluster(core::SnapshotPtr snapshot,
                          const ClusterOptions& options)
     : options_(options),
       plan_(AssignChaos(options.chaos, options.shards, options.replicas,
-                        options.chaos_seed)) {
-  // One shared shard view: every in-sync replica serves from it until a
-  // publication supersedes it, and the oracles read it as ground truth.
-  reference_ =
-      std::make_shared<const core::ShardedEngine>(snapshot, options.shards);
-
+                        options.chaos_seed)),
+      reference_(snapshot, options.shards) {
   std::vector<std::vector<std::unique_ptr<core::ShardTransport>>> transports(
       static_cast<std::size_t>(options.shards));
   for (int shard = 0; shard < options.shards; ++shard) {
@@ -153,7 +149,6 @@ TestCluster::TestCluster(core::SnapshotPtr snapshot,
       } else {
         nodes_.push_back(std::make_unique<core::ShardNode>(
             publisher, shard, options.shards));
-        nodes_.back()->WarmView(reference_);
         transport = std::make_unique<core::InProcessShardTransport>(
             nodes_.back().get(), /*deadline_ms=*/0);
       }
@@ -187,17 +182,12 @@ TestCluster::~TestCluster() {
 }
 
 void TestCluster::Publish(core::SnapshotPtr snapshot) {
-  reference_ =
-      std::make_shared<const core::ShardedEngine>(snapshot, options_.shards);
-  std::size_t node = 0;
+  reference_ = core::ShardedEngine(snapshot, options_.shards);
   for (int shard = 0; shard < options_.shards; ++shard) {
     for (int replica = 0; replica < options_.replicas; ++replica) {
-      const bool in_sync = !plan_.at(shard, replica).stale;
-      if (in_sync) {
+      if (!plan_.at(shard, replica).stale) {
         publisher(shard, replica).Publish(snapshot);
-        if (!options_.http) nodes_[node]->WarmView(reference_);
       }
-      if (!options_.http) ++node;
     }
   }
 }

@@ -29,9 +29,9 @@
 // TestCluster wires the full three-role topology over one corpus: per
 // replica a SnapshotPublisher (+ ShardNode, or a loopback-HTTP
 // SearchServer in shard-node mode), chaos wrappers per the plan, and one
-// SearchRouter/RouterService on top. All in-sync in-process replicas
-// share ONE pre-built ShardedEngine view (ShardNode::WarmView), so a
-// fuzz iteration pays a single shard build regardless of replica count.
+// SearchRouter/RouterService on top. A shard view is just the snapshot
+// plus a shard id, so every replica makes its own per request at no cost,
+// and all in-sync replicas serve the same published snapshot object.
 #pragma once
 
 #include <cstdint>
@@ -144,7 +144,7 @@ class TestCluster {
 
   // The local ground truth the oracles compare against: a single-process
   // ShardedEngine over the latest published snapshot, same shard count.
-  const core::ShardedEngine& reference() const { return *reference_; }
+  const core::ShardedEngine& reference() const { return reference_; }
 
  private:
   core::SnapshotPublisher& publisher(int shard, int replica) {
@@ -157,7 +157,7 @@ class TestCluster {
   std::vector<std::unique_ptr<core::SnapshotPublisher>> publishers_;
   std::vector<std::unique_ptr<core::ShardNode>> nodes_;       // !http
   std::vector<std::unique_ptr<core::SearchServer>> servers_;  // http
-  std::shared_ptr<const core::ShardedEngine> reference_;
+  core::ShardedEngine reference_;
   std::unique_ptr<core::SearchRouter> router_;
   std::unique_ptr<core::RouterService> service_;
 };

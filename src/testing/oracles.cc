@@ -777,6 +777,7 @@ OracleReport CheckInstance(const RandomInstance& inst,
   //       definition),
   //   (b) with check_sharded, every ShardedEngine view of that snapshot
   //       (the multi-segment sharding path) answers exactly like it, and
+  //       its per-shard term statistics add up to the rebuilt index's, and
   //   (c) merge(A, B) == rebuild(A ∪ B): folding the two newest segments
   //       with MergeSegments yields a snapshot with an identical live
   //       fingerprint and identical answers — compaction can never change
@@ -855,6 +856,33 @@ OracleReport CheckInstance(const RandomInstance& inst,
               fail(ctx + ": " + mode + " merged shard legs for '" +
                    Join(keywords) + "' differ from its Search");
               return;
+            }
+            // The /shardstats input over the same slices: per query token,
+            // the shards' dfs sum to the rebuilt index's df and their
+            // largest max_occurrences is the rebuilt index's maximum.
+            for (const std::string& token : QueryTerms(keywords)) {
+              std::uint64_t df = 0;
+              std::uint32_t max_occurrences = 0;
+              for (std::size_t s = 0; s < sharded_view.shard_count(); ++s) {
+                core::ShardTermStats stats = sharded_view.TermStats(token, s);
+                df += stats.df;
+                max_occurrences =
+                    std::max(max_occurrences, stats.max_occurrences);
+              }
+              std::uint32_t want_max = 0;
+              for (const core::Posting& p : fresh.index().Lookup(token)) {
+                want_max = std::max(want_max, p.occurrences);
+              }
+              if (df != fresh.index().Df(token) ||
+                  max_occurrences != want_max) {
+                fail(ctx + ": " + mode + " shard stats for '" + token +
+                     "' (df " + std::to_string(df) + ", max " +
+                     std::to_string(max_occurrences) +
+                     ") differ from the rebuilt index (df " +
+                     std::to_string(fresh.index().Df(token)) + ", max " +
+                     std::to_string(want_max) + ")");
+                return;
+              }
             }
           }
         }

@@ -273,6 +273,36 @@ int Lookup() { auto p = std::make_unique<int>(2); return *p; }
   EXPECT_TRUE(HasEntry(r.hot_roots, "Lookup"));
 }
 
+// A braced default argument is not a function body: the declaration (and
+// an inline definition after it) must keep its markers, so the hot root
+// stays under the purity contract exactly as with `= Opt()`.
+TEST(DeclMarkers, BracedDefaultArgumentKeepsTheMarkers) {
+  Report r = AnalyzeFiles({
+      {"src/core/api.h", R"cc(
+namespace dash::core {
+struct Opt { int n = 0; };
+class Engine {
+ public:
+  int Hot(int a, Opt o = {}) const DASH_HOT_PATH;
+  int Inline(Opt o = {}) const DASH_HOT_PATH {
+    auto p = std::make_unique<int>(o.n);
+    return *p;
+  }
+};
+}  // namespace dash::core
+)cc"},
+      {"src/core/api.cc", R"cc(
+#include "core/api.h"
+namespace dash::core {
+int Engine::Hot(int a, Opt o) const { return *new int(a + o.n); }
+}  // namespace dash::core
+)cc"},
+  });
+  EXPECT_EQ(Rules(r), (std::vector<std::string>{"hot-alloc", "hot-alloc"}));
+  EXPECT_TRUE(HasEntry(r.hot_roots, "Engine::Hot"));
+  EXPECT_TRUE(HasEntry(r.hot_roots, "Engine::Inline"));
+}
+
 // ----------------------------------------------------------------- lock-block
 
 TEST(LockBlock, BlockingTokenWhileHoldingMutexFires) {

@@ -2,7 +2,9 @@
 // empty deltas, all-tombstone segments, delete-then-reinsert across
 // segments, the within-segment definition-beats-own-tombstone rule,
 // pairwise MergeSegments ≡ rebuild, byte-identical save/load of a
-// multi-segment set, and the UpdatableIndex tiered-compaction accounting.
+// multi-segment set, the UpdatableIndex tiered-compaction accounting, and
+// shard slices of GatherTerm (a partition of the unsliced span that keeps
+// the global IDF and reuses the thread's gather scratch).
 //
 // Oracle style matches index_update_test: the live view of any segment
 // stack must be *bit-identical* (fingerprint and search answers) to a
@@ -10,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <set>
 #include <span>
 #include <sstream>
@@ -24,7 +28,36 @@
 #include "core/index_segment.h"
 #include "core/index_snapshot.h"
 #include "core/index_update.h"
+#include "core/sharded_engine.h"
 #include "testing/fooddb.h"
+
+namespace {
+// Allocations made by the current thread (see
+// RepeatedTermStatsReuseGatherScratch).
+thread_local long t_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++t_allocations;
+  return std::malloc(size);
+}
+
+// Out of line: inlined into gtest's fixture factory, GCC pairs this
+// free() with the replaced operator new and warns of a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace dash::core {
 namespace {
@@ -118,6 +151,21 @@ class SegmentTest : public ::testing::Test {
       ExpectSameResults(segmented.Search(keywords, 5, 20),
                         reference->Search(keywords, 5, 20));
     }
+  }
+
+  // A single-segment snapshot and a three-segment one whose live view
+  // replaces a base fragment and adds a new equality group.
+  std::vector<SnapshotPtr> SingleAndMultiSegment() const {
+    const db::Row ten = {db::Value("American"), db::Value(10)};
+    const db::Row greek = {db::Value("Greek"), db::Value(15)};
+    return {IndexSnapshot::Create(app_, BaseBuild()),
+            IndexSnapshot::CreateSegmented(
+                app_,
+                {MakeSegment(BaseBuild()),
+                 MakeSegment(MakeBuild({{greek, {{"burger", 1}, {"gyros", 3}}}}),
+                             {ten}),
+                 MakeSegment(
+                     MakeBuild({{ten, {{"burger", 2}, {"brunch", 1}}}}))})};
   }
 
   webapp::WebAppInfo app_;
@@ -293,6 +341,71 @@ TEST_F(SegmentTest, GatherTermOnSingleSegmentBorrowsTheIndex) {
     }
   }
   EXPECT_FALSE(single->GatherTerm("burger").postings.empty());
+}
+
+// Shard slices partition GatherTerm: for every S, the S slices' spans are
+// fragment-ascending, hold only fragments their shard owns, are pairwise
+// disjoint and union to the unsliced span, and each carries the unsliced
+// (global live) IDF — over one segment and over a multi-segment merge.
+TEST_F(SegmentTest, ShardSlicesPartitionGatherTerm) {
+  for (const SnapshotPtr& snapshot : SingleAndMultiSegment()) {
+    const std::size_t segments = snapshot->segment_count();
+    for (const auto& [token, df] : snapshot->MergedBuild().index.KeywordsByDf()) {
+      IndexSnapshot::ReclaimGatherScratch();
+      TermPlan whole = snapshot->GatherTerm(token);
+      const std::vector<Posting> want(whole.postings.begin(),
+                                      whole.postings.end());
+      ASSERT_EQ(want.size(), df) << token;
+      for (std::size_t count : {1u, 2u, 3u, 5u}) {
+        std::vector<Posting> joined;
+        for (std::size_t shard = 0; shard < count; ++shard) {
+          TermPlan part = snapshot->GatherTerm(token, {shard, count});
+          EXPECT_EQ(part.idf, whole.idf)
+              << token << " " << shard << "/" << count << " of " << segments;
+          for (std::size_t i = 0; i < part.postings.size(); ++i) {
+            const FragmentHandle f = part.postings[i].fragment;
+            EXPECT_EQ(snapshot->graph().ShardOf(f, count), shard) << token;
+            if (i > 0) {
+              EXPECT_LT(part.postings[i - 1].fragment, f) << token;
+            }
+          }
+          joined.insert(joined.end(), part.postings.begin(),
+                        part.postings.end());
+        }
+        std::sort(joined.begin(), joined.end(),
+                  [](const Posting& a, const Posting& b) {
+                    return a.fragment < b.fragment;
+                  });
+        // Equal sizes with no duplicates in `want` also prove the slices
+        // disjoint: a fragment in two slices would appear twice here.
+        EXPECT_EQ(joined, want) << token << " S=" << count << " over "
+                                << segments << " segment(s)";
+      }
+    }
+  }
+}
+
+// /shardstats probes resolve through GatherTerm outside any Search, so
+// ShardedEngine::TermStats must reclaim the gather scratch itself: once the
+// thread is warm, repeated probes allocate nothing.
+TEST_F(SegmentTest, RepeatedTermStatsReuseGatherScratch) {
+  for (const SnapshotPtr& snapshot : SingleAndMultiSegment()) {
+    const ShardedEngine view(snapshot, 3);
+    std::uint64_t df = 0;
+    auto probe = [&] {
+      for (std::size_t shard = 0; shard < view.shard_count(); ++shard) {
+        for (const char* token : {"burger", "american", "gyros", "nosuch"}) {
+          df += view.TermStats(token, shard).df;
+        }
+      }
+    };
+    probe();  // warm-up: sizes this thread's scratch once
+    const long before = t_allocations;
+    for (int round = 0; round < 50; ++round) probe();
+    EXPECT_EQ(t_allocations - before, 0)
+        << snapshot->segment_count() << " segment(s)";
+    EXPECT_GT(df, 0u);
+  }
 }
 
 TEST_F(SegmentTest, UpdatableIndexAccumulatesAndCompactsSegments) {

@@ -1,9 +1,8 @@
-// ShardedEngine construction must not deep-copy the index per shard: all
-// shards share one immutable IndexSnapshot, and the only per-shard state
-// is the fragment->shard routing table plus one rearranged seed pool whose
-// size is independent of the shard count. An operator-new byte counter
-// proves it: building 8 shard views from a snapshot costs essentially the
-// same allocation volume as building 1.
+// ShardedEngine construction must not copy or build anything: all shards
+// share one immutable IndexSnapshot, and a shard is that snapshot plus a
+// shard id (the snapshot filters ownership when it resolves a term). An
+// operator-new byte counter proves it: constructing 1 or 8 shard views
+// from a snapshot allocates nothing at all.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -57,11 +56,6 @@ TEST(ShardedAllocation, ConstructionSharesSnapshotInsteadOfCopying) {
   SnapshotPtr snapshot =
       IndexSnapshot::Create(app, Crawler(db, app.query).BuildIndex());
 
-  // Warm-up view: lets the shared thread pool spin up its workers and
-  // their thread-local counting-sort cursors, so the measured runs below
-  // see steady-state construction cost only.
-  { ShardedEngine warmup(snapshot, 4); }
-
   long before_one = g_allocated_bytes.load();
   ShardedEngine one(snapshot, 1);
   long cost_one = g_allocated_bytes.load() - before_one;
@@ -74,14 +68,9 @@ TEST(ShardedAllocation, ConstructionSharesSnapshotInsteadOfCopying) {
   EXPECT_EQ(one.snapshot().get(), snapshot.get());
   EXPECT_EQ(eight.snapshot().get(), snapshot.get());
 
-  // Per-shard state is views, not index copies. The old design built a
-  // catalog + posting lists + term dictionary per shard, so 8 shards cost
-  // several times 1 shard. Now the seed pool is the same size either way
-  // and the extra shards only widen the per-term offset table, so going
-  // 1 -> 8 shards must stay well under 2x (observed: within a few
-  // percent plus 7 extra offsets per term).
-  ASSERT_GT(cost_one, 0);
-  EXPECT_LT(cost_eight, 2 * cost_one);
+  // A view is the snapshot plus a shard count, whatever the count.
+  EXPECT_EQ(cost_one, 0);
+  EXPECT_EQ(cost_eight, 0);
 
   // And the views really are the whole story: both engines answer.
   const std::string hot = snapshot->index().KeywordsByDf().front().first;

@@ -657,7 +657,14 @@ class FileParser {
     Scope scope;
     scope.saved_line = stmt_line_;
     if (AtTypeScope()) {
-      if (ContainsWord(t, "namespace")) {
+      if (paren_depth_ > 0) {
+        // Inside an open parameter list: a braced default argument
+        // (`Opt o = {}`), not a body. Keep the declaration statement
+        // alive so its markers still register.
+        scope.kind = Scope::kExpr;
+        scope.saved_stmt = stmt_;
+        scope.saved_paren = paren_depth_;
+      } else if (ContainsWord(t, "namespace")) {
         scope.kind = Scope::kNamespace;
         scope.name = IdentChainEndingAt(t, t.size());
       } else if (IsTypeDecl(t)) {

@@ -60,7 +60,8 @@ struct Args {
       << "                 workload driving the segment-merge invariants\n"
       << "                 (merge(A,B) == rebuild(A||B); tombstoned docs\n"
       << "                 vanish from answers; sharded views of every\n"
-      << "                 segmented snapshot answer alike); "
+      << "                 segmented snapshot answer alike and their\n"
+      << "                 shard stats sum to the rebuilt df); "
       << OracleOptions{}.mixed_write_ops << " ops per instance\n"
       << "  --mixed-ops N  override the mixed-writes op count\n"
       << "  --no-shrink    report the original failing instance unshrunk\n"
