@@ -583,6 +583,41 @@ int Serve() DASH_HOT_PATH {
   EXPECT_TRUE(r.violations.empty());
 }
 
+// A C++14 digit separator is not a character literal: the rest of the line
+// stays code, so an allocation after `1'000` is still seen.
+TEST(Plumbing, DigitSeparatorKeepsTheRestOfTheLineVisible) {
+  Report r = AnalyzeFiles({{"src/core/hot.cc", R"cc(
+namespace dash::core {
+int Serve(int n) DASH_HOT_PATH {
+  int lim = 1'000; int* p = new int(n);
+  return lim + *p;
+}
+}  // namespace dash::core
+)cc"}});
+  ASSERT_EQ(r.violations.size(), 1u);
+  EXPECT_EQ(r.violations[0].rule, "hot-alloc");
+  EXPECT_EQ(r.violations[0].line, 4);
+}
+
+// ...and a brace after a digit separator still opens a block, so the body
+// does not end early and hide what follows the block.
+TEST(Plumbing, DigitSeparatorKeepsTheBraceStructure) {
+  Report r = AnalyzeFiles({{"src/core/hot.cc", R"cc(
+namespace dash::core {
+int Serve(int n) DASH_HOT_PATH {
+  if (n > 1'000) {
+    n = 0;
+  }
+  int* p = new int(n);
+  return *p;
+}
+}  // namespace dash::core
+)cc"}});
+  ASSERT_EQ(r.violations.size(), 1u);
+  EXPECT_EQ(r.violations[0].rule, "hot-alloc");
+  EXPECT_EQ(r.violations[0].line, 7);
+}
+
 TEST(Plumbing, DiagnosticFormatIsMachineReadable) {
   Report r = AnalyzeFiles({{"src/core/hot.cc", R"cc(
 namespace dash::core {

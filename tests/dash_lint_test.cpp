@@ -373,6 +373,20 @@ std::thread g_worker;
   EXPECT_TRUE(r.allowed.empty());
 }
 
+TEST(EscapeHatch, CommaListSuppressesEveryNamedRule) {
+  Report r = LintFile("src/core/x.cc", R"cc(
+#include <thread>
+namespace dash::core {
+// dash-lint: allow(raw-thread, global-state)
+std::thread g_worker;
+}
+)cc");
+  EXPECT_TRUE(r.violations.empty());
+  ASSERT_EQ(r.allowed.size(), 2u);
+  EXPECT_EQ(r.allowed[0].line, 5);
+  EXPECT_EQ(r.allowed[1].line, 5);
+}
+
 // ------------------------------------------------------------- scanner core
 
 TEST(Scanner, CommentsAndStringsAreInvisible) {
@@ -384,6 +398,21 @@ const char* kDoc = "std::thread rand() std::cout";
 }
 )cc");
   EXPECT_TRUE(r.violations.empty());
+}
+
+// CRLF line endings: the macro body after a `\` continuation is still a
+// preprocessor line, and code after it keeps its line number.
+TEST(Scanner, CrlfMacroContinuationIsBlanked) {
+  Report r = LintFile("src/core/x.cc",
+                      "#define SPAWN(fn) \\\r\n"
+                      "  std::thread t(fn)\r\n"
+                      "namespace dash::core {\r\n"
+                      "int y = rand();\r\n"
+                      "}\r\n");
+  EXPECT_FALSE(HasRule(r, "raw-thread"));
+  ASSERT_EQ(r.violations.size(), 1u);
+  EXPECT_EQ(r.violations[0].rule, "nondeterminism");
+  EXPECT_EQ(r.violations[0].line, 4);
 }
 
 TEST(Scanner, DiagnosticFormatIsMachineReadable) {

@@ -2,75 +2,23 @@
 
 #include <algorithm>
 #include <cctype>
-#include <filesystem>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <tuple>
 #include <utility>
 
 namespace dash::analyze {
 namespace {
 
-namespace fs = std::filesystem;
-
-// ---------------------------------------------------------------------------
-// Token-level scanning. Same model as dash_lint_lib: a "code view" of every
-// line with comments, string/char literals and preprocessor lines blanked
-// (preserving line positions and lengths where it matters), plus the
-// allow-comment map parsed from the raw text.
-// ---------------------------------------------------------------------------
-
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
+using source::ContainsCall;
+using source::ContainsWord;
+using source::FindWord;
+using source::IsIdentChar;
 
 bool IsIdentStart(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-// True when `word` appears in `line` with non-identifier characters (or the
-// line boundary) on both sides.
-bool ContainsWord(const std::string& line, const std::string& word) {
-  std::size_t pos = 0;
-  while ((pos = line.find(word, pos)) != std::string::npos) {
-    const bool left_ok = pos == 0 || !IsIdentChar(line[pos - 1]);
-    const std::size_t end = pos + word.size();
-    const bool right_ok = end >= line.size() || !IsIdentChar(line[end]);
-    if (left_ok && right_ok) return true;
-    pos += 1;
-  }
-  return false;
-}
-
-// Position of `word` as a whole word, or npos.
-std::size_t FindWord(const std::string& line, const std::string& word,
-                     std::size_t from = 0) {
-  std::size_t pos = from;
-  while ((pos = line.find(word, pos)) != std::string::npos) {
-    const bool left_ok = pos == 0 || !IsIdentChar(line[pos - 1]);
-    const std::size_t end = pos + word.size();
-    const bool right_ok = end >= line.size() || !IsIdentChar(line[end]);
-    if (left_ok && right_ok) return pos;
-    pos += 1;
-  }
-  return std::string::npos;
-}
-
-// True when `name` appears as a whole word immediately followed (modulo
-// whitespace) by '('.
-bool ContainsCall(const std::string& line, const std::string& name) {
-  std::size_t pos = 0;
-  while ((pos = FindWord(line, name, pos)) != std::string::npos) {
-    std::size_t after = pos + name.size();
-    while (after < line.size() && line[after] == ' ') after += 1;
-    if (after < line.size() && line[after] == '(') return true;
-    pos += 1;
-  }
-  return false;
 }
 
 // Like ContainsCall, but only matches member-call syntax (`x.name(` or
@@ -116,186 +64,6 @@ bool ContainsCallTemplated(const std::string& line, const std::string& name) {
     pos += 1;
   }
   return false;
-}
-
-std::vector<std::string> SplitLines(const std::string& content) {
-  std::vector<std::string> lines;
-  std::string current;
-  for (char c : content) {
-    if (c == '\n') {
-      lines.push_back(current);
-      current.clear();
-    } else if (c != '\r') {
-      current.push_back(c);
-    }
-  }
-  if (!current.empty()) lines.push_back(current);
-  return lines;
-}
-
-constexpr const char kAllowMarker[] = "dash-analyze: allow(";
-
-// line number (1-based) -> set of rule ids allowed on/below that comment.
-std::map<int, std::set<std::string>> ParseAllowComments(
-    const std::vector<std::string>& raw) {
-  std::map<int, std::set<std::string>> allows;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    const std::string& line = raw[i];
-    std::size_t pos = 0;
-    while ((pos = line.find(kAllowMarker, pos)) != std::string::npos) {
-      const std::size_t open = pos + sizeof(kAllowMarker) - 2;
-      const std::size_t close = line.find(')', open);
-      if (close != std::string::npos) {
-        std::string inner = line.substr(open + 1, close - open - 1);
-        std::string rule;
-        for (char c : inner) {
-          if (c == ',') {
-            if (!rule.empty()) allows[static_cast<int>(i) + 1].insert(rule);
-            rule.clear();
-          } else if (c != ' ') {
-            rule.push_back(c);
-          }
-        }
-        if (!rule.empty()) allows[static_cast<int>(i) + 1].insert(rule);
-      }
-      pos += 1;
-    }
-  }
-  return allows;
-}
-
-// Blanks comments, string literals, char literals and preprocessor lines so
-// token matching never fires inside them. Line count and the column of every
-// surviving token are preserved.
-std::vector<std::string> BuildCodeView(const std::vector<std::string>& raw) {
-  enum class State {
-    kNormal,
-    kLineComment,
-    kBlockComment,
-    kString,
-    kChar,
-    kRawString,
-  };
-  std::vector<std::string> code;
-  code.reserve(raw.size());
-  State state = State::kNormal;
-  std::string raw_delim;
-  for (const std::string& line : raw) {
-    std::string out(line.size(), ' ');
-    std::size_t i = 0;
-    if (state == State::kNormal) {
-      std::size_t first = line.find_first_not_of(" \t");
-      if (first != std::string::npos && line[first] == '#') {
-        // Preprocessor line (macro definitions, includes, conditionals).
-        bool continued = !line.empty() && line.back() == '\\';
-        code.push_back(std::move(out));
-        if (continued) {
-          // Swallow continuation lines too.
-          state = State::kLineComment;  // reuse: cleared at end of line
-          // kLineComment resets to kNormal below only when no backslash;
-          // emulate by peeking: handled in the kLineComment branch.
-          // Simpler: mark with raw_delim sentinel.
-          raw_delim = "#cont";
-        }
-        continue;
-      }
-    }
-    if (state == State::kLineComment) {
-      if (raw_delim == "#cont") {
-        // Macro continuation: blank and keep swallowing while the previous
-        // line ended in a backslash.
-        bool continued = !line.empty() && line.back() == '\\';
-        if (!continued) {
-          raw_delim.clear();
-          state = State::kNormal;
-        }
-        code.push_back(std::move(out));
-        continue;
-      }
-      state = State::kNormal;  // line comments never span lines
-    }
-    while (i < line.size()) {
-      char c = line[i];
-      char next = i + 1 < line.size() ? line[i + 1] : '\0';
-      switch (state) {
-        case State::kNormal:
-          if (c == '/' && next == '/') {
-            i = line.size();
-          } else if (c == '/' && next == '*') {
-            state = State::kBlockComment;
-            i += 2;
-          } else if (c == 'R' && next == '"' &&
-                     (i == 0 || !IsIdentChar(line[i - 1]))) {
-            std::size_t paren = line.find('(', i + 2);
-            if (paren != std::string::npos) {
-              raw_delim = ")" + line.substr(i + 2, paren - i - 2) + "\"";
-              state = State::kRawString;
-              i = paren + 1;
-            } else {
-              i += 2;
-            }
-          } else if (c == '"') {
-            state = State::kString;
-            i += 1;
-          } else if (c == '\'') {
-            state = State::kChar;
-            i += 1;
-          } else {
-            out[i] = c;
-            i += 1;
-          }
-          break;
-        case State::kString:
-          if (c == '\\') {
-            i += 2;
-          } else if (c == '"') {
-            state = State::kNormal;
-            i += 1;
-          } else {
-            i += 1;
-          }
-          break;
-        case State::kChar:
-          if (c == '\\') {
-            i += 2;
-          } else if (c == '\'') {
-            state = State::kNormal;
-            i += 1;
-          } else {
-            i += 1;
-          }
-          break;
-        case State::kRawString: {
-          std::size_t end = line.find(raw_delim, i);
-          if (end == std::string::npos) {
-            i = line.size();
-          } else {
-            i = end + raw_delim.size();
-            state = State::kNormal;
-          }
-          break;
-        }
-        case State::kBlockComment: {
-          std::size_t end = line.find("*/", i);
-          if (end == std::string::npos) {
-            i = line.size();
-          } else {
-            i = end + 2;
-            state = State::kBlockComment == state ? State::kNormal : state;
-          }
-          break;
-        }
-        case State::kLineComment:
-          i = line.size();
-          break;
-      }
-    }
-    if (state == State::kString || state == State::kChar) {
-      state = State::kNormal;  // unterminated literal: recover per line
-    }
-    code.push_back(std::move(out));
-  }
-  return code;
 }
 
 // ---------------------------------------------------------------------------
@@ -353,7 +121,7 @@ struct DeclMarkers {
 
 struct ParsedFile {
   std::string path;
-  std::map<int, std::set<std::string>> allows;
+  source::CodeView view;
   std::vector<FunctionInfo> functions;
   std::set<std::string> classes;
   std::map<std::string, std::vector<std::string>> class_members;
@@ -540,15 +308,14 @@ class FileParser {
  public:
   FileParser(std::string path, const std::string& content)
       : path_(std::move(path)) {
-    std::vector<std::string> raw = SplitLines(content);
     result_.path = path_;
-    result_.allows = ParseAllowComments(raw);
-    code_ = BuildCodeView(raw);
+    result_.view = source::Scan(content, "dash-analyze");
   }
 
   ParsedFile Run() {
-    for (std::size_t li = 0; li < code_.size(); ++li) {
-      const std::string& line = code_[li];
+    const std::vector<std::string>& code = result_.view.code;
+    for (std::size_t li = 0; li < code.size(); ++li) {
+      const std::string& line = code[li];
       const int lineno = static_cast<int>(li) + 1;
       for (std::size_t i = 0; i < line.size(); ++i) {
         char c = line[i];
@@ -1045,7 +812,6 @@ class FileParser {
   }
 
   std::string path_;
-  std::vector<std::string> code_;
   ParsedFile result_;
   std::vector<Scope> scopes_;
   std::string stmt_;
@@ -1100,7 +866,7 @@ class Analyzer {
                                     : fn.qualified.substr(cut + 2);
         by_short_[shortname].push_back(&fn);
       }
-      allows_[pf.path] = &pf.allows;
+      views_[pf.path] = &pf.view;
     }
     // Union declaration-site markers into definitions.
     for (ParsedFile& pf : files_) {
@@ -1169,7 +935,8 @@ class Analyzer {
     for (Diagnostic& d : raw_) {
       std::string key = d.file + ":" + std::to_string(d.line) + ":" + d.rule;
       if (!seen.insert(key).second) continue;
-      if (IsAllowed(d)) {
+      auto view = views_.find(d.file);
+      if (view != views_.end() && view->second->Allowed(d.line, d.rule)) {
         report.allowed.push_back(std::move(d));
       } else {
         report.violations.push_back(std::move(d));
@@ -1535,25 +1302,12 @@ class Analyzer {
     }
   }
 
-  bool IsAllowed(const Diagnostic& d) {
-    auto it = allows_.find(d.file);
-    if (it == allows_.end()) return false;
-    const auto& allows = *it->second;
-    for (int line : {d.line, d.line - 1}) {
-      auto entry = allows.find(line);
-      if (entry != allows.end() && entry->second.count(d.rule) > 0) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   std::vector<ParsedFile> files_;
   std::map<std::string, std::vector<FunctionInfo*>> by_qualified_;
   std::map<std::string, std::vector<FunctionInfo*>> by_short_;
   std::set<std::string> classes_;
   std::map<std::string, std::vector<std::string>> class_members_;
-  std::map<std::string, const std::map<int, std::set<std::string>>*> allows_;
+  std::map<std::string, const source::CodeView*> views_;
   std::map<FunctionInfo*, bool> blocks_memo_;
   std::set<FunctionInfo*> blocks_stack_;
   std::map<FunctionInfo*, std::set<std::string>> acquires_memo_;
@@ -1566,12 +1320,6 @@ class Analyzer {
 
 }  // namespace
 
-std::string Diagnostic::ToString() const {
-  std::ostringstream os;
-  os << file << ":" << line << ": " << rule << ": " << message;
-  return os.str();
-}
-
 Report AnalyzeFiles(const std::vector<SourceFile>& files) {
   std::vector<ParsedFile> parsed;
   parsed.reserve(files.size());
@@ -1583,27 +1331,7 @@ Report AnalyzeFiles(const std::vector<SourceFile>& files) {
 }
 
 Report AnalyzeTree(const std::string& root) {
-  std::vector<SourceFile> files;
-  for (const char* top : {"src", "tools"}) {
-    fs::path dir = fs::path(root) / top;
-    if (!fs::exists(dir)) continue;
-    std::vector<fs::path> paths;
-    for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-      if (!entry.is_regular_file()) continue;
-      std::string ext = entry.path().extension().string();
-      if (ext != ".h" && ext != ".cc") continue;
-      paths.push_back(entry.path());
-    }
-    std::sort(paths.begin(), paths.end());
-    for (const fs::path& p : paths) {
-      std::ifstream in(p);
-      std::ostringstream content;
-      content << in.rdbuf();
-      files.push_back(
-          {fs::relative(p, root).generic_string(), content.str()});
-    }
-  }
-  return AnalyzeFiles(files);
+  return AnalyzeFiles(source::ReadTree(root));
 }
 
 std::string RuleCatalog() {

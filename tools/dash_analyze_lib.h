@@ -3,9 +3,9 @@
 // dash_lint (dash_lint_lib.h) checks one line at a time; this tool checks
 // properties that only exist *across* functions. It extracts a
 // function-definition / call-site graph from every source file under
-// src/ and tools/ using the same token-level scanner (comments, string
-// literals and preprocessor lines blanked; no LLVM dependency) and
-// enforces two whole-program contracts:
+// src/ and tools/ over the source model dash_lint also uses
+// (source_model.h: comments, string literals and preprocessor lines
+// blanked; no LLVM dependency) and enforces two whole-program contracts:
 //
 // 1. Hot-path purity. Functions annotated DASH_HOT_PATH
 //    (src/util/analysis_annotations.h) are latency-critical serving
@@ -35,9 +35,10 @@
 //    sanctioned shape, `cv.Wait(m)` on the *sole* held mutex m, is
 //    exempt because CondVar::Wait releases m while parked.
 //
-// Escape hatch: `// dash-analyze: allow(rule)` on the flagged line or
-// the line above suppresses one diagnostic; suppressions are counted
-// and listed in the summary, exactly like dash_lint's.
+// Escape hatch: a `dash-analyze: allow(rule[, rule...])` comment on the
+// flagged line or the line above suppresses each named rule there
+// (syntax in source_model.h); suppressions are counted and listed in the
+// summary, exactly like dash_lint's.
 //
 // Known limits (token analyzer, not a compiler): calls through
 // std::function values, destructor-triggered joins (pool_.reset()), and
@@ -51,23 +52,14 @@
 #include <string>
 #include <vector>
 
+#include "source_model.h"
+
 namespace dash::analyze {
 
-struct Diagnostic {
-  std::string file;  // repo-relative path
-  int line = 0;      // 1-based
-  std::string rule;  // hot-alloc|hot-lock|hot-log|hot-block|lock-block|lock-cycle
-  std::string message;
-
-  std::string ToString() const;  // "file:line: rule: message"
-};
-
-// One input file: `path` is the repo-relative name used in diagnostics
-// and allow-comment lookups, `content` the full text.
-struct SourceFile {
-  std::string path;
-  std::string content;
-};
+// Diagnostic rule ids: hot-alloc|hot-lock|hot-log|hot-block|lock-block|
+// lock-cycle.
+using source::Diagnostic;
+using source::SourceFile;
 
 struct Report {
   std::vector<Diagnostic> violations;
@@ -82,9 +74,10 @@ struct Report {
   std::vector<std::string> lock_edges;       // "A -> B @ file:line"
 };
 
-// Analyze an explicit file set (the fixture-test entry point). Files
-// named in kExemptFiles (the lock/annotation vocabulary itself) are
-// skipped.
+// Analyze an explicit file set (the fixture-test entry point). The lock
+// and annotation vocabulary itself — src/util/mutex.h,
+// src/util/thread_annotations.h and src/util/analysis_annotations.h — is
+// skipped: those files define the tokens every rule keys on.
 Report AnalyzeFiles(const std::vector<SourceFile>& files);
 
 // Analyze every *.h / *.cc under <root>/src and <root>/tools.

@@ -1,52 +1,15 @@
 #include "dash_lint_lib.h"
 
-#include <algorithm>
-#include <cctype>
-#include <filesystem>
-#include <fstream>
 #include <map>
-#include <set>
-#include <sstream>
 #include <vector>
 
 namespace dash::lint {
 
 namespace {
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-// True when `token` occurs in `s` as a whole word (the characters adjacent
-// to the match are not identifier characters). `token` itself may contain
-// '::' qualifiers.
-bool ContainsWord(const std::string& s, const std::string& token) {
-  std::size_t pos = 0;
-  while ((pos = s.find(token, pos)) != std::string::npos) {
-    bool left_ok = pos == 0 || !IsIdentChar(s[pos - 1]);
-    std::size_t end = pos + token.size();
-    bool right_ok = end >= s.size() || !IsIdentChar(s[end]);
-    if (left_ok && right_ok) return true;
-    pos += 1;
-  }
-  return false;
-}
-
-// Word `token` immediately (modulo whitespace) followed by '('.
-bool ContainsCall(const std::string& s, const std::string& token) {
-  std::size_t pos = 0;
-  while ((pos = s.find(token, pos)) != std::string::npos) {
-    bool left_ok = pos == 0 || !IsIdentChar(s[pos - 1]);
-    std::size_t end = pos + token.size();
-    if (left_ok) {
-      std::size_t j = end;
-      while (j < s.size() && (s[j] == ' ' || s[j] == '\t')) ++j;
-      if (j < s.size() && s[j] == '(') return true;
-    }
-    pos += 1;
-  }
-  return false;
-}
+using source::ContainsCall;
+using source::ContainsWord;
+using source::IsIdentChar;
 
 // Rank of a top-level module directory in the include-layer order
 // (util < db < sql|tpch < webapp < mapreduce < core < baseline < testing
@@ -60,52 +23,12 @@ int LayerRank(const std::string& dir) {
   return it == kRank.end() ? -1 : it->second;
 }
 
-// The scanner's view of one source file: comment/string/preprocessor-free
-// code lines (positions preserved), the raw lines, include targets, and
-// per-line allow() sets.
-struct FileView {
-  std::vector<std::string> raw;
-  std::vector<std::string> code;
-  // line (1-based) -> set of rule ids allowed on that line and the next
-  std::map<int, std::set<std::string>> allows;
-  // line -> include target as written, e.g. "<iostream>" or "\"util/x.h\""
+// line (1-based) -> include target as written, e.g. "<iostream>" or
+// "\"util/x.h\"".
+std::map<int, std::string> ParseIncludes(const std::vector<std::string>& raw) {
   std::map<int, std::string> includes;
-};
-
-std::vector<std::string> SplitLines(const std::string& content) {
-  std::vector<std::string> lines;
-  std::string current;
-  for (char c : content) {
-    if (c == '\n') {
-      lines.push_back(current);
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  lines.push_back(current);
-  return lines;
-}
-
-void ParseAllowComments(FileView& view) {
-  static const std::string kMarker = "dash-lint: allow(";
-  for (std::size_t i = 0; i < view.raw.size(); ++i) {
-    const std::string& line = view.raw[i];
-    std::size_t pos = 0;
-    while ((pos = line.find(kMarker, pos)) != std::string::npos) {
-      std::size_t begin = pos + kMarker.size();
-      std::size_t end = line.find(')', begin);
-      if (end == std::string::npos) break;
-      view.allows[static_cast<int>(i) + 1].insert(
-          line.substr(begin, end - begin));
-      pos = end;
-    }
-  }
-}
-
-void ParseIncludes(FileView& view) {
-  for (std::size_t i = 0; i < view.raw.size(); ++i) {
-    const std::string& line = view.raw[i];
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const std::string& line = raw[i];
     std::size_t j = line.find_first_not_of(" \t");
     if (j == std::string::npos || line[j] != '#') continue;
     j = line.find_first_not_of(" \t", j + 1);
@@ -116,136 +39,17 @@ void ParseIncludes(FileView& view) {
     if (close == '\0') continue;
     std::size_t end = line.find(close, j + 1);
     if (end == std::string::npos) continue;
-    view.includes[static_cast<int>(i) + 1] = line.substr(j, end - j + 1);
+    includes[static_cast<int>(i) + 1] = line.substr(j, end - j + 1);
   }
-}
-
-// Blanks comments, string/char literals (including raw strings), and
-// preprocessor directives (with backslash continuations), preserving line
-// structure so diagnostics keep their positions.
-void BuildCodeView(FileView& view) {
-  enum class State {
-    kNormal,
-    kLineComment,
-    kBlockComment,
-    kString,
-    kChar,
-    kRawString,
-    kPreprocessor
-  };
-  State state = State::kNormal;
-  std::string raw_delim;  // for raw strings: the ")delim" terminator
-  view.code.assign(view.raw.size(), "");
-  for (std::size_t li = 0; li < view.raw.size(); ++li) {
-    const std::string& in = view.raw[li];
-    std::string out(in.size(), ' ');
-    if (state == State::kLineComment) state = State::kNormal;
-    std::size_t i = 0;
-    // A preprocessor directive can only start at the beginning of a line.
-    if (state == State::kNormal) {
-      std::size_t first = in.find_first_not_of(" \t");
-      if (first != std::string::npos && in[first] == '#') {
-        state = State::kPreprocessor;
-      }
-    }
-    while (i < in.size()) {
-      char c = in[i];
-      char next = i + 1 < in.size() ? in[i + 1] : '\0';
-      switch (state) {
-        case State::kNormal:
-          if (c == '/' && next == '/') {
-            state = State::kLineComment;
-            i = in.size();
-          } else if (c == '/' && next == '*') {
-            state = State::kBlockComment;
-            i += 2;
-          } else if (c == 'R' && next == '"' &&
-                     (i == 0 || !IsIdentChar(in[i - 1]))) {
-            std::size_t open = in.find('(', i + 2);
-            if (open != std::string::npos) {
-              raw_delim = ")" + in.substr(i + 2, open - (i + 2)) + "\"";
-              state = State::kRawString;
-              i = open + 1;
-            } else {
-              i += 2;  // malformed; skip
-            }
-          } else if (c == '"') {
-            state = State::kString;
-            ++i;
-          } else if (c == '\'' &&
-                     !(i > 0 && (std::isdigit(static_cast<unsigned char>(
-                                     in[i - 1])) ||
-                                 in[i - 1] == '\''))) {
-            // skip digit separators like 1'000'000
-            state = State::kChar;
-            ++i;
-          } else {
-            out[i] = c;
-            ++i;
-          }
-          break;
-        case State::kString:
-        case State::kChar:
-          if (c == '\\') {
-            i += 2;
-          } else if ((state == State::kString && c == '"') ||
-                     (state == State::kChar && c == '\'')) {
-            state = State::kNormal;
-            ++i;
-          } else {
-            ++i;
-          }
-          break;
-        case State::kRawString: {
-          std::size_t end = in.find(raw_delim, i);
-          if (end == std::string::npos) {
-            i = in.size();
-          } else {
-            i = end + raw_delim.size();
-            state = State::kNormal;
-          }
-          break;
-        }
-        case State::kBlockComment: {
-          std::size_t end = in.find("*/", i);
-          if (end == std::string::npos) {
-            i = in.size();
-          } else {
-            i = end + 2;
-            state = State::kNormal;
-          }
-          break;
-        }
-        case State::kPreprocessor:
-          i = in.size();  // whole line blanked
-          break;
-        case State::kLineComment:
-          i = in.size();
-          break;
-      }
-    }
-    if (state == State::kPreprocessor) {
-      // Continue only when the raw line ends with a backslash.
-      std::size_t last = in.find_last_not_of(" \t");
-      if (last == std::string::npos || in[last] != '\\') {
-        state = State::kNormal;
-      }
-    }
-    if (state == State::kString || state == State::kChar) {
-      state = State::kNormal;  // unterminated literal: recover per line
-    }
-    view.code[li] = std::move(out);
-  }
+  return includes;
 }
 
 class Linter {
  public:
-  Linter(std::string path, const std::string& content) : path_(std::move(path)) {
-    view_.raw = SplitLines(content);
-    ParseAllowComments(view_);
-    ParseIncludes(view_);
-    BuildCodeView(view_);
-  }
+  Linter(std::string path, const std::string& content)
+      : path_(std::move(path)),
+        view_(source::Scan(content, "dash-lint")),
+        includes_(ParseIncludes(view_.raw)) {}
 
   Report Run() {
     if (RuleApplies("raw-thread")) CheckRawThread();
@@ -294,11 +98,7 @@ class Linter {
 
   void Emit(int line, const std::string& rule, std::string message) {
     Diagnostic d{path_, line, rule, std::move(message)};
-    auto allowed_at = [&](int l) {
-      auto it = view_.allows.find(l);
-      return it != view_.allows.end() && it->second.count(rule) > 0;
-    };
-    if (allowed_at(line) || allowed_at(line - 1)) {
+    if (view_.Allowed(line, rule)) {
       report_.allowed.push_back(std::move(d));
     } else {
       report_.violations.push_back(std::move(d));
@@ -551,7 +351,7 @@ class Linter {
     // references. The ban is on *console* I/O — <iostream> drags in the
     // global stream objects, and cout/cerr writes bypass util/logging's
     // level filter and sink fanout.
-    for (const auto& [line, target] : view_.includes) {
+    for (const auto& [line, target] : includes_) {
       if (target == "<iostream>") {
         Emit(line, "iostream-hotpath",
              "iostream include in a hot-path module; use util/logging "
@@ -575,7 +375,7 @@ class Linter {
     const std::string dir = FileLayerDir();
     const int rank = LayerRank(dir);
     if (rank < 0) return;
-    for (const auto& [line, target] : view_.includes) {
+    for (const auto& [line, target] : includes_) {
       // Only quoted project includes participate; system headers and
       // same-directory siblings (no path separator) are out of scope.
       if (target.size() < 2 || target.front() != '"') continue;
@@ -610,43 +410,21 @@ class Linter {
   }
 
   std::string path_;
-  FileView view_;
+  source::CodeView view_;
+  std::map<int, std::string> includes_;
   Report report_;
 };
 
 }  // namespace
-
-std::string Diagnostic::ToString() const {
-  std::ostringstream out;
-  out << file << ":" << line << ": " << rule << ": " << message;
-  return out.str();
-}
 
 Report LintFile(const std::string& path, const std::string& content) {
   return Linter(path, content).Run();
 }
 
 Report LintTree(const std::string& root) {
-  namespace fs = std::filesystem;
   Report total;
-  std::vector<fs::path> files;
-  for (const char* dir : {"src", "tools"}) {
-    fs::path base = fs::path(root) / dir;
-    if (!fs::exists(base)) continue;
-    for (const auto& entry : fs::recursive_directory_iterator(base)) {
-      if (!entry.is_regular_file()) continue;
-      fs::path ext = entry.path().extension();
-      if (ext == ".h" || ext == ".cc") files.push_back(entry.path());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  for (const fs::path& file : files) {
-    std::ifstream in(file, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string rel =
-        fs::relative(file, fs::path(root)).generic_string();
-    Report r = LintFile(rel, buffer.str());
+  for (const auto& file : source::ReadTree(root)) {
+    Report r = LintFile(file.path, file.content);
     total.files_scanned += r.files_scanned;
     for (auto& d : r.violations) total.violations.push_back(std::move(d));
     for (auto& d : r.allowed) total.allowed.push_back(std::move(d));
@@ -679,8 +457,8 @@ std::string RuleCatalog() {
       "                  sub-layer: only search_router.{h,cc} may include\n"
       "                  it (the router composes core, never the reverse).\n"
       "\n"
-      "Suppress a finding with `// dash-lint: allow(rule-id)` on the same\n"
-      "line or the line above; suppressions are listed in the summary.\n";
+      "Suppress findings with `// dash-lint: allow(rule[, rule...])` on the\n"
+      "same line or the line above; suppressions are listed in the summary.\n";
 }
 
 }  // namespace dash::lint

@@ -4,10 +4,11 @@
 // proves lock discipline, but several Dash invariants live above the type
 // system: which modules may create threads, which may consume wall-clock
 // or entropy, and which container iterations must be canonically ordered.
-// dash_lint enforces those with a token-level scan that understands
-// comments, string literals, preprocessor lines, and namespace/brace
-// structure — enough context to keep the false-positive rate near zero on
-// this codebase without dragging in a compiler frontend.
+// dash_lint enforces those with a token-level scan over the shared source
+// model (source_model.h: comments, string literals and preprocessor lines
+// blanked) plus namespace/brace structure — enough context to keep the
+// false-positive rate near zero on this codebase without dragging in a
+// compiler frontend.
 //
 // Rule catalog (ids are stable; tie-ins reference DESIGN.md §10):
 //   raw-thread       std::thread/std::jthread/std::async only in
@@ -37,25 +38,20 @@
 //                    include (src/db/ pulling core/..., say) is the seed
 //                    of a dependency cycle and is rejected outright.
 //
-// Escape hatch: a `// dash-lint: allow(rule-id)` comment on the offending
-// line or the line directly above suppresses that rule there; suppressions
-// are counted and listed in the summary so they stay visible in review.
+// Escape hatch: a `dash-lint: allow(rule[, rule...])` comment on the
+// offending line or the line directly above suppresses each named rule
+// there (syntax in source_model.h); suppressions are counted and listed
+// in the summary so they stay visible in review.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "source_model.h"
+
 namespace dash::lint {
 
-struct Diagnostic {
-  std::string file;  // repo-relative path, forward slashes
-  int line = 0;      // 1-based
-  std::string rule;
-  std::string message;
-
-  // Machine-readable "file:line: rule-id: message".
-  std::string ToString() const;
-};
+using source::Diagnostic;
 
 struct Report {
   std::vector<Diagnostic> violations;
