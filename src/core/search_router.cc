@@ -3,33 +3,18 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "util/string_util.h"
 #include "util/tokenizer.h"
-#include "webapp/http.h"
+#include "webapp/http_server.h"
 
 namespace dash::core {
 
 namespace {
-
-webapp::HttpResponse TextResponse(int status, std::string body) {
-  webapp::HttpResponse response;
-  response.status = status;
-  response.headers["Content-Type"] = "text/plain; charset=utf-8";
-  response.body = std::move(body);
-  return response;
-}
-
-bool ParseBoundedInt(const std::string& text, std::int64_t min,
-                     std::int64_t max, std::int64_t* out) {
-  std::int64_t value = 0;
-  if (!util::ParseInt64(text, &value)) return false;
-  if (value < min || value > max) return false;
-  *out = value;
-  return true;
-}
 
 // /search (or /shardstats) target for one scatter leg.
 std::string SearchTarget(const char* path,
@@ -60,76 +45,34 @@ std::uint64_t HeaderGeneration(const webapp::HttpResponse& response) {
 
 }  // namespace
 
-// ---- ShardNode -------------------------------------------------------
+// ---- HttpShardTransport ----------------------------------------------
 
-ShardNode::ShardNode(const SnapshotPublisher& publisher, int shard_index,
-                     int shard_total)
-    : publisher_(&publisher),
-      shard_index_(shard_index),
-      shard_total_(shard_total) {
-  if (shard_total < 1 || shard_index < 0 || shard_index >= shard_total) {
-    throw std::invalid_argument("ShardNode: bad shard index/total");
-  }
+std::unique_ptr<HttpShardTransport> HttpShardTransport::InProcess(
+    SearchService& node) {
+  const ServeOptions& options = node.options();
+  return std::make_unique<HttpShardTransport>(
+      [&node](const std::string& target) {
+        return std::optional<webapp::HttpResponse>(node.Handle(
+            webapp::ParseUrl(target), std::chrono::steady_clock::now()));
+      },
+      "in-process shard " + std::to_string(options.shard_index) + "/" +
+          std::to_string(options.shards));
 }
 
-ShardReply ShardNode::ServeShard(const std::vector<std::string>& keywords,
-                                 int k, std::uint64_t min_page_words,
-                                 int deadline_ms) {
-  ShardReply reply;
-  SnapshotPtr snapshot = publisher_->Current();
-  if (snapshot == nullptr) return reply;  // pre-publication: not serving
-  SearchDeadline deadline_storage;
-  SearchDeadline* deadline = nullptr;
-  if (deadline_ms > 0) {
-    deadline_storage.at = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(deadline_ms);
-    deadline = &deadline_storage;
-  }
-  reply.results = ShardedEngine(snapshot, shard_total_)
-                      .SearchShard(static_cast<std::size_t>(shard_index_),
-                                   keywords, k, min_page_words, deadline);
-  reply.ok = true;
-  reply.partial = deadline != nullptr &&
-                  deadline->expired.load(std::memory_order_relaxed);
-  reply.generation = snapshot->generation();
-  return reply;
-}
-
-ShardStatsReply ShardNode::TermStatsFor(
-    const std::vector<std::string>& keywords) {
-  ShardStatsReply reply;
-  SnapshotPtr snapshot = publisher_->Current();
-  if (snapshot == nullptr) return reply;
-  const ShardedEngine view(snapshot, shard_total_);
-  const auto shard = static_cast<std::size_t>(shard_index_);
-  for (const std::string& keyword : keywords) {
-    for (std::string& token : util::Tokenize(keyword)) {
-      reply.terms.push_back(view.TermStats(std::move(token), shard));
-    }
-  }
-  reply.ok = true;
-  reply.generation = snapshot->generation();
-  return reply;
-}
-
-// ---- Transports ------------------------------------------------------
-
-std::string InProcessShardTransport::description() const {
-  return "in-process shard " + std::to_string(node_->shard_index()) + "/" +
-         std::to_string(node_->shard_total());
-}
-
-std::string HttpShardTransport::description() const {
-  return "127.0.0.1:" + std::to_string(port_);
+std::unique_ptr<HttpShardTransport> HttpShardTransport::Loopback(int port) {
+  return std::make_unique<HttpShardTransport>(
+      [port](const std::string& target) {
+        return webapp::FetchOverLoopback(port, target);
+      },
+      "127.0.0.1:" + std::to_string(port));
 }
 
 ShardReply HttpShardTransport::Route(const std::vector<std::string>& keywords,
                                      int k, std::uint64_t min_page_words) {
   ShardReply reply;
-  std::optional<webapp::HttpResponse> response = webapp::FetchOverLoopback(
-      port_,
-      SearchTarget("/search", keywords, k, min_page_words,
-                   /*with_limits=*/true));
+  std::optional<webapp::HttpResponse> response =
+      fetch_(SearchTarget("/search", keywords, k, min_page_words,
+                          /*with_limits=*/true));
   if (!response.has_value()) return reply;
   const bool partial =
       response->status == 504 && response->headers.contains("X-Dash-Partial");
@@ -147,11 +90,11 @@ ShardReply HttpShardTransport::Route(const std::vector<std::string>& keywords,
 ShardStatsReply HttpShardTransport::RouteStats(
     const std::vector<std::string>& keywords) {
   ShardStatsReply reply;
-  std::optional<webapp::HttpResponse> response = webapp::FetchOverLoopback(
-      port_, SearchTarget("/shardstats", keywords, 0, 0,
-                          /*with_limits=*/false));
+  std::optional<webapp::HttpResponse> response = fetch_(
+      SearchTarget("/shardstats", keywords, 0, 0, /*with_limits=*/false));
   if (!response.has_value() || response->status != 200) return reply;
-  // Body: "terms N" then N lines "T\t<token>\t<df>\t<maxocc>".
+  // Body: "terms N", then exactly N lines "T\t<token>\t<df>\t<maxocc>"
+  // and nothing after them.
   const std::string& body = response->body;
   std::size_t pos = body.find('\n');
   if (pos == std::string::npos) return reply;
@@ -178,11 +121,13 @@ ShardStatsReply HttpShardTransport::RouteStats(
     if (t3 == std::string_view::npos || line.substr(0, t1) != "T") {
       return reply;
     }
+    constexpr std::int64_t kMaxOccurrences =
+        std::numeric_limits<std::uint32_t>::max();
     std::int64_t df = 0;
     std::int64_t max_occurrences = 0;
     if (!util::ParseInt64(line.substr(t2 + 1, t3 - t2 - 1), &df) || df < 0 ||
         !util::ParseInt64(line.substr(t3 + 1), &max_occurrences) ||
-        max_occurrences < 0) {
+        max_occurrences < 0 || max_occurrences > kMaxOccurrences) {
       return reply;
     }
     ShardTermStats stats;
@@ -191,6 +136,7 @@ ShardStatsReply HttpShardTransport::RouteStats(
     stats.max_occurrences = static_cast<std::uint32_t>(max_occurrences);
     reply.terms.push_back(std::move(stats));
   }
+  if (cursor != body.size()) return reply;
   reply.ok = true;
   reply.generation = HeaderGeneration(*response);
   return reply;
@@ -221,10 +167,7 @@ SearchRouter::SearchRouter(
     replicas_.push_back(std::move(row));
     shard_latency_.push_back(std::make_unique<util::LatencyHistogram>());
   }
-  std::size_t threads = options.scatter_threads > 0
-                            ? static_cast<std::size_t>(options.scatter_threads)
-                            : replicas_.size();
-  scatter_pool_ = std::make_unique<util::ThreadPool>(threads);
+  scatter_pool_ = std::make_unique<util::ThreadPool>(replicas_.size());
 }
 
 std::vector<std::size_t> SearchRouter::ReplicaOrder(std::size_t shard) const {
@@ -397,17 +340,8 @@ RoutedResult SearchRouter::RouteQuery(const std::vector<std::string>& keywords,
     }
     if (!leg.results.empty()) answered.push_back(std::move(leg.results));
   }
-  routed.results = MergePartials(std::move(answered), k);
+  routed.results = ShardedEngine::MergeShardResults(std::move(answered), k);
   return routed;
-}
-
-std::vector<SearchResult> SearchRouter::MergePartials(
-    std::vector<std::vector<SearchResult>> answered, int k) {
-  // The engine's gather, generalized: MergeShardResults never assumed all
-  // shards are present (the key is unique and order-insensitive), so the
-  // merge of any subset of per-shard lists is exactly the best answer the
-  // answering shards can give.
-  return ShardedEngine::MergeShardResults(std::move(answered), k);
 }
 
 // ---- RouterService ---------------------------------------------------
@@ -441,32 +375,15 @@ webapp::HttpResponse RouterService::Handle(
 webapp::HttpResponse RouterService::HandleRouted(
     const webapp::HttpRequest& request,
     std::chrono::steady_clock::time_point admitted) {
-  std::vector<std::string> keywords;
-  std::int64_t k = options_.default_k;
-  auto s = static_cast<std::int64_t>(options_.default_s);
-  for (auto& [field, value] :
-       webapp::ParseQueryParams(request.EffectiveQueryString())) {
-    if (field == "q") {
-      keywords.push_back(std::move(value));
-    } else if (field == "k") {
-      if (!ParseBoundedInt(value, 1, 100000, &k)) {
-        bad_request_.fetch_add(1, std::memory_order_relaxed);
-        return TextResponse(400, "bad k parameter\n");
-      }
-    } else if (field == "s") {
-      if (!ParseBoundedInt(value, 0, std::int64_t{1} << 62, &s)) {
-        bad_request_.fetch_add(1, std::memory_order_relaxed);
-        return TextResponse(400, "bad s parameter\n");
-      }
-    }
-  }
-  if (keywords.empty()) {
+  SearchQuery query;
+  if (const char* error = ParseSearchQuery(request, options_.default_k,
+                                           options_.default_s, &query)) {
     bad_request_.fetch_add(1, std::memory_order_relaxed);
-    return TextResponse(400, "missing q parameter\n");
+    return TextResponse(400, error);
   }
 
-  RoutedResult routed = ExecuteRouted(keywords, static_cast<int>(k),
-                                      static_cast<std::uint64_t>(s));
+  RoutedResult routed =
+      ExecuteRouted(query.keywords, query.k, query.min_page_words);
 
   webapp::HttpResponse response;
   const std::string coverage = std::to_string(routed.shards_answered) + "/" +
@@ -513,11 +430,6 @@ RoutedResult RouterService::ExecuteRouted(
 
 webapp::HttpResponse RouterService::HandleStats() {
   RouterCounters c = counters();
-  std::function<webapp::HttpServer::Stats()> transport;
-  {
-    util::MutexLock lock(stats_mutex_);
-    transport = transport_stats_;
-  }
   // Merge-then-quantile over the per-shard leg histograms: exact bucket
   // sums, so the cluster-wide leg percentiles carry the same ~6% bound as
   // any single histogram (quantile-of-per-shard-quantiles would not).
@@ -538,15 +450,6 @@ webapp::HttpResponse RouterService::HandleStats() {
   };
   field("shards", router_->shard_count());
   field("replicas_total", replicas_total);
-  if (transport != nullptr) {
-    webapp::HttpServer::Stats t = transport();
-    field("queue_depth", t.queue_depth);
-    field("queue_capacity", t.queue_capacity);
-    field("accepted", t.accepted);
-    field("shed", t.shed);
-    field("handled", t.handled);
-    field("parse_errors", t.parse_errors);
-  }
   field("requests_total", c.requests_total);
   field("ok", c.ok);
   field("degraded", c.degraded);
@@ -587,34 +490,5 @@ RouterCounters RouterService::counters() const {
   c.latency_max_us = latency_.max();
   return c;
 }
-
-// ---- RouterServer ----------------------------------------------------
-
-RouterServer::RouterServer(
-    std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports,
-    const RouterOptions& options) {
-  router_ = std::make_unique<SearchRouter>(std::move(transports), options);
-  service_ = std::make_unique<RouterService>(*router_, options);
-  webapp::HttpServer::Options http_options;
-  http_options.port = options.port;
-  http_options.num_workers = options.num_workers;
-  http_options.queue_capacity = options.queue_capacity;
-  http_options.retry_after_seconds = options.retry_after_seconds;
-  http_ = std::make_unique<webapp::HttpServer>(
-      [service = service_.get()](const webapp::HttpRequest& request,
-                                 std::chrono::steady_clock::time_point
-                                     admitted) {
-        return service->Handle(request, admitted);
-      },
-      http_options);
-  service_->set_transport_stats(
-      [http = http_.get()] { return http->stats(); });
-}
-
-RouterServer::~RouterServer() { Stop(); }
-
-void RouterServer::Start() { http_->Start(); }
-
-void RouterServer::Stop() { http_->Stop(); }
 
 }  // namespace dash::core

@@ -8,16 +8,20 @@
 //     shard_index >= 0): it owns its own SnapshotPublisher, answers
 //     /search with the local top-k of ONE fragment slice, reports its
 //     slice's per-term statistics on /shardstats, and advances its
-//     generation independently of every other node.
+//     generation independently of every other node. There is no other
+//     shard-node implementation: an in-process cluster calls the node's
+//     Handle, a networked one reaches it over HTTP, and both decode the
+//     same reply bytes (HttpShardTransport).
 //
 //   router — SearchRouter scatter-gathers one query across all shards.
 //     Per shard it picks ONE replica by a health/latency score (EWMA
 //     latency × an exponential consecutive-failure penalty), fails over
 //     to the next replica on transport failure, enforces a per-shard
-//     deadline, and merges whatever answered with MergePartials — the
-//     tolerant generalization of ShardedEngine::MergeShardResults.
-//     RouterService/RouterServer put the router behind the same HTTP
-//     surface SearchService/SearchServer use for a single node.
+//     deadline, and merges whatever answered with ShardedEngine::
+//     MergeShardResults, which never assumed every shard is present (its
+//     key is unique and order-insensitive). RouterService puts the router
+//     behind the same /search grammar (ParseSearchQuery) and rendering
+//     SearchService uses for a single node.
 //
 //   chaos — testing/chaos.h wraps ShardTransports to inject crashes,
 //     stragglers, and stale-generation replicas deterministically from a
@@ -25,11 +29,11 @@
 //
 // Degradation contract: a query over t shards with a answering (answered
 // = searched + exactly-skipped, see below) returns precisely
-// MergePartials of the answering shards' local top-k lists. With a == t
-// that is byte-identical to ShardedEngine::Search (the cluster≡engine
-// oracle); with a < t it is the best possible answer from the surviving
-// shards (the bounded-degradation oracle), never an error. Every router
-// response carries coverage and skew headers:
+// MergeShardResults of the answering shards' local top-k lists. With
+// a == t that is byte-identical to ShardedEngine::Search (the
+// cluster≡engine oracle); with a < t it is the best possible answer from
+// the surviving shards (the bounded-degradation oracle), never an error.
+// Every router response carries coverage and skew headers:
 //
 //   X-Dash-Shards-Answered: <a>/<t>     always
 //   X-Dash-Degraded: 1                  when a < t
@@ -63,10 +67,8 @@
 #include "core/sharded_engine.h"
 #include "util/analysis_annotations.h"
 #include "util/histogram.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
-#include "webapp/http_server.h"
+#include "webapp/http.h"
 
 namespace dash::core {
 
@@ -103,74 +105,42 @@ class ShardTransport {
   virtual ShardStatsReply RouteStats(
       const std::vector<std::string>& keywords) DASH_BLOCKING = 0;
 
-  // Diagnostic label ("shard2/replica0", "127.0.0.1:8431").
+  // Diagnostic label ("in-process shard 2/4", "127.0.0.1:8431").
   virtual std::string description() const = 0;
 };
 
-// In-process shard node: one fragment slice served straight from whatever
-// its publisher currently publishes. This is the transport-free core of a
-// shard node — SearchService in shard-node mode is the same logic behind
-// HTTP. Replicas of one shard each hold their own ShardNode over their
-// own publisher, so generations skew exactly as real nodes' would.
-class ShardNode {
- public:
-  // Serves shard `shard_index` of `shard_total` from `publisher` (must
-  // outlive the node). Publications are picked up per request.
-  ShardNode(const SnapshotPublisher& publisher, int shard_index,
-            int shard_total);
-
-  ShardReply ServeShard(const std::vector<std::string>& keywords, int k,
-                        std::uint64_t min_page_words, int deadline_ms);
-  ShardStatsReply TermStatsFor(const std::vector<std::string>& keywords);
-
-  int shard_index() const { return shard_index_; }
-  int shard_total() const { return shard_total_; }
-  std::uint64_t generation() const { return publisher_->CurrentGeneration(); }
-
- private:
-  const SnapshotPublisher* const publisher_;
-  const int shard_index_;
-  const int shard_total_;
-};
-
-// Transport to an in-process ShardNode (not owned; must outlive).
-class InProcessShardTransport : public ShardTransport {
- public:
-  InProcessShardTransport(ShardNode* node, int deadline_ms)
-      : node_(node), deadline_ms_(deadline_ms) {}
-
-  ShardReply Route(const std::vector<std::string>& keywords, int k,
-                   std::uint64_t min_page_words) override {
-    return node_->ServeShard(keywords, k, min_page_words, deadline_ms_);
-  }
-  ShardStatsReply RouteStats(
-      const std::vector<std::string>& keywords) override {
-    return node_->TermStatsFor(keywords);
-  }
-  std::string description() const override;
-
- private:
-  ShardNode* const node_;
-  const int deadline_ms_;  // per-request budget handed to the node; 0 = none
-};
-
-// Transport to a loopback-HTTP shard node (a SearchServer running with
-// ServeOptions::shard_index >= 0). Speaks the /search and /shardstats
-// wire formats; result bodies decode through ParseRenderedResults, whose
-// %.17g round-trip keeps the cluster≡engine oracle byte-exact across the
-// HTTP hop.
+// The transport to a shard node: a SearchService in shard-node mode. It
+// builds the node's /search or /shardstats target and decodes the reply
+// (ParseRenderedResults, whose %.17g round-trip keeps the cluster≡engine
+// oracle byte-exact across the hop, and the /shardstats grammar). Where
+// the node lives is the one call that turns a target into its response:
+// InProcess calls the node's Handle directly, Loopback fetches over
+// 127.0.0.1. Replies are untrusted input: any malformed body, or a status
+// other than 200 (or 504 + X-Dash-Partial on /search), fails the leg.
 class HttpShardTransport : public ShardTransport {
  public:
-  explicit HttpShardTransport(int port) : port_(port) {}
+  // Target → the node's response; nullopt when the node did not answer.
+  using Fetch = std::function<std::optional<webapp::HttpResponse>(
+      const std::string& target)>;
+
+  HttpShardTransport(Fetch fetch, std::string description)
+      : fetch_(std::move(fetch)), description_(std::move(description)) {}
+
+  // `node` (not owned; must outlive the transport) must run in shard-node
+  // mode. Its deadline, if any, starts when the leg calls it.
+  static std::unique_ptr<HttpShardTransport> InProcess(SearchService& node);
+  // A SearchServer in shard-node mode listening on 127.0.0.1:`port`.
+  static std::unique_ptr<HttpShardTransport> Loopback(int port);
 
   ShardReply Route(const std::vector<std::string>& keywords, int k,
                    std::uint64_t min_page_words) override DASH_BLOCKING;
   ShardStatsReply RouteStats(const std::vector<std::string>& keywords)
       override DASH_BLOCKING;
-  std::string description() const override;
+  std::string description() const override { return description_; }
 
  private:
-  const int port_;
+  const Fetch fetch_;
+  const std::string description_;
 };
 
 struct RouterOptions {
@@ -188,12 +158,6 @@ struct RouterOptions {
   // failures, 6), so a freshly failed replica ranks behind a healthy one
   // even before latency differentiates them.
   int retry_after_seconds = 1;  // Retry-After on 503 (no shard answered)
-  int num_workers = 4;          // RouterServer HTTP worker threads
-  std::size_t queue_capacity = 64;
-  int port = 0;  // 0 = ephemeral
-  // Scatter pool size; 0 = one thread per shard (each leg blocks in its
-  // transport, so the pool must hold every concurrent leg).
-  int scatter_threads = 0;
 };
 
 // What one routed query produced (RouterService turns this into the HTTP
@@ -225,19 +189,12 @@ class SearchRouter {
       const RouterOptions& options);
 
   // Scatter-gather one query. Blocks up to shard_deadline_ms (unbounded
-  // when 0) while legs run on the owned scatter pool.
+  // when 0) while legs run on the owned scatter pool (one thread per
+  // shard: each leg blocks in its transport, so the pool must hold every
+  // concurrent leg). The gather is ShardedEngine::MergeShardResults over
+  // the ANSWERING shards' lists.
   RoutedResult RouteQuery(const std::vector<std::string>& keywords, int k,
                           std::uint64_t min_page_words) DASH_BLOCKING;
-
-  // The gather half, tolerant of missing shards: merges the ANSWERING
-  // shards' local top-k lists by (score desc, fragments asc) and keeps k.
-  // With every shard present this is exactly ShardedEngine's gather — the
-  // identity the cluster≡engine oracle checks; with shards missing it is
-  // the exact merge of the survivors — the bounded-degradation oracle.
-  // Pure compute on materialized lists (DASH_HOT_PATH, like the engine
-  // merge it generalizes).
-  static std::vector<SearchResult> MergePartials(
-      std::vector<std::vector<SearchResult>> answered, int k) DASH_HOT_PATH;
 
   std::size_t shard_count() const { return replicas_.size(); }
   std::size_t replica_count(std::size_t shard) const {
@@ -311,7 +268,7 @@ struct RouterCounters {
 // The router behind the standard request surface: /search with the same
 // grammar and byte-identical body rendering as a single node (plus the
 // coverage/skew headers above), /stats, /healthz. Transport-free like
-// SearchService — tests call Handle() directly, RouterServer adds HTTP.
+// SearchService: callers hand Handle() a parsed request.
 class RouterService {
  public:
   // `router` must outlive the service.
@@ -323,13 +280,6 @@ class RouterService {
   RouterCounters counters() const;
   SearchRouter& router() { return *router_; }
 
-  void set_transport_stats(
-      std::function<webapp::HttpServer::Stats()> provider)
-      DASH_EXCLUDES(stats_mutex_) {
-    util::MutexLock lock(stats_mutex_);
-    transport_stats_ = std::move(provider);
-  }
-
  private:
   // The routed /search fast path: parse, route (via the cold boundary),
   // render, stamp coverage headers. DASH_HOT_PATH like the single-node
@@ -337,7 +287,7 @@ class RouterService {
   webapp::HttpResponse HandleRouted(
       const webapp::HttpRequest& request,
       std::chrono::steady_clock::time_point admitted) DASH_HOT_PATH;
-  webapp::HttpResponse HandleStats() DASH_EXCLUDES(stats_mutex_);
+  webapp::HttpResponse HandleStats();
 
   // The sanctioned slow path: the scatter-gather itself (legs block on
   // transports). DASH_COLD_PATH stops the hot-path purity walk here,
@@ -348,10 +298,6 @@ class RouterService {
   SearchRouter* const router_;
   const RouterOptions options_;
 
-  mutable util::Mutex stats_mutex_;
-  std::function<webapp::HttpServer::Stats()> transport_stats_
-      DASH_GUARDED_BY(stats_mutex_);
-
   std::atomic<std::uint64_t> requests_total_{0};
   std::atomic<std::uint64_t> ok_{0};
   std::atomic<std::uint64_t> degraded_{0};
@@ -361,28 +307,6 @@ class RouterService {
   std::atomic<std::uint64_t> gateway_timeout_{0};
   std::atomic<std::uint64_t> routed_{0};
   util::LatencyHistogram latency_;
-};
-
-// A complete router node: SearchRouter + RouterService + HTTP transport.
-class RouterServer {
- public:
-  RouterServer(
-      std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports,
-      const RouterOptions& options);
-  ~RouterServer();
-
-  void Start();
-  void Stop();
-  int port() const { return http_->port(); }
-  bool running() const { return http_->running(); }
-
-  SearchRouter& router() { return *router_; }
-  RouterService& service() { return *service_; }
-
- private:
-  std::unique_ptr<SearchRouter> router_;
-  std::unique_ptr<RouterService> service_;
-  std::unique_ptr<webapp::HttpServer> http_;
 };
 
 }  // namespace dash::core

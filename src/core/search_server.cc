@@ -1,7 +1,9 @@
 #include "core/search_server.h"
 
+#include <algorithm>
 #include <array>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <string_view>
@@ -24,14 +26,6 @@ std::string FormatScore(double score) {
   return buf;
 }
 
-webapp::HttpResponse TextResponse(int status, std::string body) {
-  webapp::HttpResponse response;
-  response.status = status;
-  response.headers["Content-Type"] = "text/plain; charset=utf-8";
-  response.body = std::move(body);
-  return response;
-}
-
 // Parses a decimal integer query parameter into `*out`; false on garbage
 // or a value outside [min, max].
 bool ParseBoundedInt(const std::string& text, std::int64_t min,
@@ -44,6 +38,37 @@ bool ParseBoundedInt(const std::string& text, std::int64_t min,
 }
 
 }  // namespace
+
+webapp::HttpResponse TextResponse(int status, std::string body) {
+  webapp::HttpResponse response;
+  response.status = status;
+  response.headers["Content-Type"] = "text/plain; charset=utf-8";
+  response.body = std::move(body);
+  return response;
+}
+
+const char* ParseSearchQuery(const webapp::HttpRequest& request,
+                             int default_k, std::uint64_t default_s,
+                             SearchQuery* query) {
+  std::int64_t k = default_k;
+  auto s = static_cast<std::int64_t>(default_s);
+  for (auto& [field, value] :
+       webapp::ParseQueryParams(request.EffectiveQueryString())) {
+    if (field == "q") {
+      query->keywords.push_back(std::move(value));
+    } else if (field == "k") {
+      if (!ParseBoundedInt(value, 1, 100000, &k)) return "bad k parameter\n";
+    } else if (field == "s") {
+      if (!ParseBoundedInt(value, 0, std::int64_t{1} << 62, &s)) {
+        return "bad s parameter\n";
+      }
+    }
+  }
+  if (query->keywords.empty()) return "missing q parameter\n";
+  query->k = static_cast<int>(k);
+  query->min_page_words = static_cast<std::uint64_t>(s);
+  return nullptr;
+}
 
 SearchService::SearchService(const SnapshotPublisher& publisher,
                              const ServeOptions& options)
@@ -93,6 +118,13 @@ std::optional<std::vector<SearchResult>> SearchService::ParseRenderedResults(
   if (!util::ParseInt64(header.substr(kPrefix.size()), &count) || count < 0) {
     return std::nullopt;
   }
+  // The count comes off the wire: a count beyond the lines present is
+  // malformed, and rejecting it before the reserve means a hostile
+  // header cannot size the allocation.
+  const auto lines = static_cast<std::int64_t>(
+      std::count(body.begin() + static_cast<std::ptrdiff_t>(pos + 1),
+                 body.end(), '\n'));
+  if (count > lines) return std::nullopt;
   std::vector<SearchResult> results;
   results.reserve(static_cast<std::size_t>(count));
   std::size_t cursor = pos + 1;
@@ -117,7 +149,11 @@ std::optional<std::vector<SearchResult>> SearchService::ParseRenderedResults(
     }
     if (field != f.size() || f[0] != "R") return std::nullopt;
     SearchResult r;
-    if (!util::ParseDouble(f[1], &r.score)) return std::nullopt;
+    // RenderResults never writes a non-finite score, and a NaN would break
+    // the strict weak order the router's merge sorts by.
+    if (!util::ParseDouble(f[1], &r.score) || !std::isfinite(r.score)) {
+      return std::nullopt;
+    }
     std::int64_t words = 0;
     if (!util::ParseInt64(f[2], &words) || words < 0) return std::nullopt;
     r.size_words = static_cast<std::uint64_t>(words);
@@ -195,31 +231,11 @@ webapp::HttpResponse SearchService::HandleSearch(
     return response;
   }
 
-  // Each q= value is one keyword string, handed to the engine verbatim
-  // (the engine tokenizes, exactly as a direct Search call would).
-  std::vector<std::string> keywords;
-  std::int64_t k = options_.default_k;
-  auto s = static_cast<std::int64_t>(options_.default_s);
-  for (auto& [field, value] :
-       webapp::ParseQueryParams(request.EffectiveQueryString())) {
-    if (field == "q") {
-      keywords.push_back(std::move(value));
-    } else if (field == "k") {
-      if (!ParseBoundedInt(value, 1, 100000, &k)) {
-        bad_request_.fetch_add(1, std::memory_order_relaxed);
-        return TextResponse(400, "bad k parameter\n");
-      }
-    } else if (field == "s") {
-      if (!ParseBoundedInt(value, 0, std::int64_t{1} << 62, &s)) {
-        bad_request_.fetch_add(1, std::memory_order_relaxed);
-        return TextResponse(400, "bad s parameter\n");
-      }
-    }
-    // Unknown fields are ignored (standard web behavior).
-  }
-  if (keywords.empty()) {
+  SearchQuery query;
+  if (const char* error = ParseSearchQuery(request, options_.default_k,
+                                           options_.default_s, &query)) {
     bad_request_.fetch_add(1, std::memory_order_relaxed);
-    return TextResponse(400, "missing q parameter\n");
+    return TextResponse(400, error);
   }
 
   SearchDeadline deadline_storage;
@@ -230,18 +246,19 @@ webapp::HttpResponse SearchService::HandleSearch(
     deadline = &deadline_storage;
   }
 
-  const auto ki = static_cast<int>(k);
-  const auto si = static_cast<std::uint64_t>(s);
   std::vector<SearchResult> results;
   bool from_cache = false;
   if (cache_ != nullptr) {
-    if (auto hit = cache_->Lookup(keywords, ki, si, snapshot->generation())) {
+    if (auto hit = cache_->Lookup(query.keywords, query.k,
+                                  query.min_page_words,
+                                  snapshot->generation())) {
       results = std::move(*hit);
       from_cache = true;
     }
   }
   if (!from_cache) {
-    results = ExecuteSearch(snapshot, keywords, ki, si, deadline);
+    results = ExecuteSearch(snapshot, query.keywords, query.k,
+                            query.min_page_words, deadline);
   }
 
   bool expired = deadline != nullptr &&
@@ -315,8 +332,8 @@ std::vector<SearchResult> SearchService::ExecuteSearch(
   return results;
 }
 
-// Shard-node statistics probe. Cold path like HandleStats: a router calls
-// this once per routing-table refresh, not per query.
+// Shard-node statistics probe. Not a hot root: the router probes it once
+// per leg, before the leg's /search (SearchRouter::RunLeg).
 webapp::HttpResponse SearchService::HandleShardStats(
     const webapp::HttpRequest& request) {
   if (options_.shards <= 0 || options_.shard_index < 0) {

@@ -16,7 +16,7 @@
 //     complete search node: point it at a SnapshotPublisher (live
 //     updates) or a single snapshot, Start(), and query the port.
 //
-// Request grammar (all parameters URL-encoded):
+// Request grammar (all parameters URL-encoded; ParseSearchQuery):
 //   GET /search?q=<kw>[&q=<kw>...]&k=<int>&s=<int>   top-k search
 //   GET /stats                                        counters as JSON
 //   GET /healthz                                      liveness probe
@@ -72,6 +72,27 @@ struct ServeOptions {
   // Production configurations leave it 0.
   int debug_delay_ms = 0;
 };
+
+// A plain-text response: the body type of every endpoint but /stats.
+webapp::HttpResponse TextResponse(int status, std::string body);
+
+// One /search request, parsed.
+struct SearchQuery {
+  std::vector<std::string> keywords;  // one per q= value, verbatim
+  int k = 0;
+  std::uint64_t min_page_words = 0;  // s
+};
+
+// The /search parameter grammar, shared by every node that answers
+// /search (SearchService, RouterService): each q= value is one keyword
+// string, handed to the engine verbatim (the engine tokenizes, exactly as
+// a direct Search call would); k in [1, 100000] and s in [0, 2^62]
+// default to `default_k` / `default_s`; unknown fields are ignored
+// (standard web behavior). Returns nullptr with `*query` filled, or the
+// 400 body for a malformed request.
+const char* ParseSearchQuery(const webapp::HttpRequest& request,
+                             int default_k, std::uint64_t default_s,
+                             SearchQuery* query);
 
 // Point-in-time serving counters (/stats renders these as JSON).
 struct ServeCounters {
@@ -131,11 +152,13 @@ class SearchService {
   // byte.
   static std::string RenderResults(const std::vector<SearchResult>& results);
 
-  // Exact inverse of RenderResults: the wire decode a router uses to merge
-  // loopback-HTTP shard replies. Because scores render as %.17g (round-trip
-  // exact) and the remaining fields are integers/verbatim strings,
-  // RenderResults(ParseRenderedResults(body)) == body for every body
-  // RenderResults can produce. Returns nullopt on any malformed line.
+  // Exact inverse of RenderResults: the decode a router applies to every
+  // shard reply, in-process or over HTTP. Because scores render as %.17g
+  // (round-trip exact) and the remaining fields are integers/verbatim
+  // strings, RenderResults(ParseRenderedResults(body)) == body for every
+  // body RenderResults can produce. The body is untrusted: returns nullopt
+  // on any malformed line, a count beyond the lines present, a non-finite
+  // score, or trailing bytes.
   static std::optional<std::vector<SearchResult>> ParseRenderedResults(
       const std::string& body);
 

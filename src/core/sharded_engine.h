@@ -28,7 +28,12 @@
 // Scatter-gather runs on a persistent util::ThreadPool (per-query thread
 // spawning costs more than a warm shard search). Results are independent
 // of the pool size: each shard writes its own result slot and the gather
-// merge is a deterministic sort.
+// merge is a deterministic sort. Search stays this direct in-process
+// scatter rather than a SearchRouter over in-process shard nodes: it is
+// what a sharded SearchServer runs per request, and a router would add a
+// future, a keyword copy, a replica sort and a /shardstats probe per leg.
+// The two share the gather: MergeShardResults is also the router's merge,
+// over whichever shards answered.
 #pragma once
 
 #include <string>
@@ -79,10 +84,10 @@ class ShardedEngine {
 
   // One scatter leg: the local top-k of `shard` alone — exactly what that
   // shard contributes to Search's gather. This is the serving entry of a
-  // *shard node* (core/search_router.h): a node answering SearchShard for
-  // its own shard index reproduces, after the router's MergePartials, the
-  // single-process Search byte for byte. Runs on the calling thread (no
-  // scatter, no pool).
+  // *shard node* (a SearchService in shard-node mode, core/search_router.h):
+  // nodes answering SearchShard for their own shard indexes reproduce,
+  // after the router's MergeShardResults, the single-process Search byte
+  // for byte. Runs on the calling thread (no scatter, no pool).
   std::vector<SearchResult> SearchShard(std::size_t shard,
                                         const std::vector<std::string>& keywords,
                                         int k, std::uint64_t min_page_words,

@@ -134,23 +134,21 @@ TestCluster::TestCluster(core::SnapshotPtr snapshot,
       publishers_.push_back(
           std::make_unique<core::SnapshotPublisher>(snapshot));
       core::SnapshotPublisher& publisher = *publishers_.back();
+      core::ServeOptions serve;
+      serve.shards = options.shards;
+      serve.shard_index = shard;
       std::unique_ptr<core::ShardTransport> transport;
       if (options.http) {
-        core::ServeOptions serve;
-        serve.shards = options.shards;
-        serve.shard_index = shard;
         serve.num_workers = 2;
-        serve.port = 0;
         servers_.push_back(
             std::make_unique<core::SearchServer>(publisher, serve));
         servers_.back()->Start();
-        transport = std::make_unique<core::HttpShardTransport>(
-            servers_.back()->port());
+        transport =
+            core::HttpShardTransport::Loopback(servers_.back()->port());
       } else {
-        nodes_.push_back(std::make_unique<core::ShardNode>(
-            publisher, shard, options.shards));
-        transport = std::make_unique<core::InProcessShardTransport>(
-            nodes_.back().get(), /*deadline_ms=*/0);
+        nodes_.push_back(
+            std::make_unique<core::SearchService>(publisher, serve));
+        transport = core::HttpShardTransport::InProcess(*nodes_.back());
       }
       // Per-replica chaos seed: mixes topology position into the run
       // seed, so one replica's verdict stream never aliases another's.

@@ -27,11 +27,14 @@
 //   router's X-Dash-Generation-Min/Max spread exposes the skew.
 //
 // TestCluster wires the full three-role topology over one corpus: per
-// replica a SnapshotPublisher (+ ShardNode, or a loopback-HTTP
-// SearchServer in shard-node mode), chaos wrappers per the plan, and one
-// SearchRouter/RouterService on top. A shard view is just the snapshot
-// plus a shard id, so every replica makes its own per request at no cost,
-// and all in-sync replicas serve the same published snapshot object.
+// replica a SnapshotPublisher and a SearchService in shard-node mode
+// (called in-process, or behind a loopback-HTTP SearchServer), chaos
+// wrappers per the plan, and one SearchRouter/RouterService on top. Both
+// variants run the real shard-node code and the real reply decoders; they
+// differ only in how a request target reaches the node. A shard view is
+// just the snapshot plus a shard id, so every replica makes its own per
+// request at no cost, and all in-sync replicas serve the same published
+// snapshot object.
 #pragma once
 
 #include <cstdint>
@@ -114,9 +117,9 @@ class ChaosTransport : public core::ShardTransport {
 struct ClusterOptions {
   int shards = 4;
   int replicas = 1;
-  // false: in-process ShardNodes (fast, fuzz-friendly). true: each
-  // replica is a real SearchServer in shard-node mode behind loopback
-  // HTTP — the full wire path, including ParseRenderedResults.
+  // false: each replica's shard-node SearchService is called in-process
+  // (fast, fuzz-friendly). true: each replica is a SearchServer behind
+  // loopback HTTP, so the socket path is exercised too.
   bool http = false;
   int default_k = 10;
   std::uint64_t default_s = 0;
@@ -155,7 +158,7 @@ class TestCluster {
   ClusterOptions options_;
   ChaosPlan plan_;
   std::vector<std::unique_ptr<core::SnapshotPublisher>> publishers_;
-  std::vector<std::unique_ptr<core::ShardNode>> nodes_;       // !http
+  std::vector<std::unique_ptr<core::SearchService>> nodes_;   // !http
   std::vector<std::unique_ptr<core::SearchServer>> servers_;  // http
   core::ShardedEngine reference_;
   std::unique_ptr<core::SearchRouter> router_;

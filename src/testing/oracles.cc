@@ -994,9 +994,11 @@ OracleReport CheckInstance(const RandomInstance& inst,
   // ---- Invariant: the replicated-shard cluster degrades exactly. ----
   // Zero failures: a router over N in-process shard nodes must answer
   // byte-identically to the single-process ShardedEngine over the same
-  // snapshot, with full coverage and zero generation skew. The identity
-  // holds through the router's df-based shard skipping (a skipped shard's
-  // local top-k is provably empty).
+  // snapshot, with full coverage and zero generation skew. Each node is a
+  // shard-node SearchService, so every leg runs the real /search and
+  // /shardstats handlers and the router's reply decoders: the identity
+  // covers the wire encoding, and it holds through the router's df-based
+  // shard skipping (a skipped shard's local top-k is provably empty).
   if (options.check_cluster) {
     static const int kChoices[] = {1, 3, 10, 25};
     static const std::uint64_t kSizes[] = {0, 5, 80, 100000};
@@ -1107,7 +1109,8 @@ OracleReport CheckInstance(const RandomInstance& inst,
               static_cast<std::size_t>(shard), keywords, k, s));
         }
         std::string expected = core::SearchService::RenderResults(
-            core::SearchRouter::MergePartials(std::move(survivors), k));
+            core::ShardedEngine::MergeShardResults(std::move(survivors),
+                                                   k));
         if (response.body != expected) {
           fail(ctx + ": degraded body differs from the exact merge of " +
                "the surviving shards");

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,6 +49,14 @@ webapp::HttpRequest Get(const std::string& target) {
 
 std::chrono::steady_clock::time_point Now() {
   return std::chrono::steady_clock::now();
+}
+
+// Shard-node mode: this node serves only shard `shard_index` of `shards`.
+ServeOptions ShardModeOptions(int shard_index, int shards) {
+  ServeOptions serve;
+  serve.shards = shards;
+  serve.shard_index = shard_index;
+  return serve;
 }
 
 const std::vector<std::vector<std::string>>& Queries() {
@@ -183,7 +192,7 @@ TEST(Cluster, DeadShardDegradesToExactSurvivorMerge) {
     }
     EXPECT_EQ(response.body,
               SearchService::RenderResults(
-                  SearchRouter::MergePartials(std::move(survivors), 10)));
+                  ShardedEngine::MergeShardResults(std::move(survivors), 10)));
     EXPECT_EQ(response.headers.at("X-Dash-Shards-Answered"), "2/3");
     EXPECT_EQ(response.headers.at("X-Dash-Degraded"), "1");
   }
@@ -220,13 +229,11 @@ TEST(Cluster, StaleReplicaWidensGenerationMinMax) {
   // Shard 0 fell behind (its publisher never advanced); shard 1 is fresh.
   SnapshotPublisher stale_publisher(old_engine.snapshot());
   SnapshotPublisher fresh_publisher(new_engine.snapshot());
-  ShardNode stale_node(stale_publisher, 0, 2);
-  ShardNode fresh_node(fresh_publisher, 1, 2);
+  SearchService stale_node(stale_publisher, ShardModeOptions(0, 2));
+  SearchService fresh_node(fresh_publisher, ShardModeOptions(1, 2));
   std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports(2);
-  transports[0].push_back(
-      std::make_unique<InProcessShardTransport>(&stale_node, 0));
-  transports[1].push_back(
-      std::make_unique<InProcessShardTransport>(&fresh_node, 0));
+  transports[0].push_back(HttpShardTransport::InProcess(stale_node));
+  transports[1].push_back(HttpShardTransport::InProcess(fresh_node));
   SearchRouter router(std::move(transports), RouterOptions{});
   RouterService service(router, RouterOptions{});
 
@@ -317,7 +324,7 @@ TEST(Cluster, StragglerMissesDeadlineAndCoverageDrops) {
       10, 0));
   EXPECT_EQ(response.body,
             SearchService::RenderResults(
-                SearchRouter::MergePartials(std::move(survivors), 10)));
+                ShardedEngine::MergeShardResults(std::move(survivors), 10)));
 }
 
 // ---- Shard-node serving surface (/search slice + /shardstats). ----
@@ -401,6 +408,90 @@ TEST(Cluster, ParseRenderedResultsRoundTripsEveryRenderedBody) {
   EXPECT_FALSE(SearchService::ParseRenderedResults(
                    "results 1\nR\tnot-a-score\t1\tu\t0\t\n")
                    .has_value());
+}
+
+// ---- Hostile shard replies fail the leg. ----
+
+// A transport whose node answers every target with `status` and `body`.
+HttpShardTransport CannedNode(int status, std::string body) {
+  return HttpShardTransport(
+      [status, body](const std::string&) {
+        webapp::HttpResponse response;
+        response.status = status;
+        response.body = body;
+        response.headers["X-Dash-Generation"] = "7";
+        return std::optional<webapp::HttpResponse>(response);
+      },
+      "canned");
+}
+
+TEST(ShardReplyDecoding, WellFormedRepliesDecode) {
+  ShardReply reply =
+      CannedNode(200, "results 1\nR\t0.5\t3\tu\t1,2\ta=1\n")
+          .Route({"x"}, 10, 0);
+  ASSERT_TRUE(reply.ok);
+  EXPECT_EQ(reply.generation, 7u);
+  ASSERT_EQ(reply.results.size(), 1u);
+  EXPECT_EQ(reply.results[0].score, 0.5);
+
+  ShardStatsReply stats =
+      CannedNode(200, "terms 1\nT\tcoffee\t3\t4294967295\n")
+          .RouteStats({"coffee"});
+  ASSERT_TRUE(stats.ok);
+  ASSERT_EQ(stats.terms.size(), 1u);
+  EXPECT_EQ(stats.terms[0].df, 3u);
+  EXPECT_EQ(stats.terms[0].max_occurrences, 4294967295u);
+}
+
+TEST(ShardReplyDecoding, ResultCountBeyondTheLinesPresentFailsTheLeg) {
+  // Decoding must reject the header before sizing anything by it: a
+  // reserve of 10^9 results would abort the router process.
+  EXPECT_FALSE(CannedNode(200, "results 1000000000\n").Route({"x"}, 10, 0).ok);
+  EXPECT_FALSE(CannedNode(200, "results 1000000000\nR\t0.5\t3\tu\t1\t\n")
+                   .Route({"x"}, 10, 0)
+                   .ok);
+
+  // The router counts the undecodable reply as a replica failure.
+  std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports(1);
+  transports[0].push_back(std::make_unique<HttpShardTransport>(
+      CannedNode(200, "results 1000000000\n")));
+  RouterOptions options;
+  options.use_shard_stats = false;
+  SearchRouter router(std::move(transports), options);
+  RoutedResult routed = router.RouteQuery({"x"}, 10, 0);
+  EXPECT_EQ(routed.shards_answered, 0);
+  EXPECT_EQ(router.replica_health(0, 0).failures, 1u);
+}
+
+TEST(ShardReplyDecoding, NonFiniteScoreFailsTheLeg) {
+  for (const char* score : {"nan", "inf", "-inf"}) {
+    std::string body = std::string("results 1\nR\t") + score + "\t3\tu\t1\t\n";
+    EXPECT_FALSE(CannedNode(200, body).Route({"x"}, 10, 0).ok) << score;
+  }
+}
+
+TEST(ShardReplyDecoding, MaxOccurrencesAboveUint32FailsTheLeg) {
+  EXPECT_FALSE(CannedNode(200, "terms 1\nT\tcoffee\t3\t4294967296\n")
+                   .RouteStats({"coffee"})
+                   .ok);
+}
+
+TEST(ShardReplyDecoding, ShardStatsTrailingBytesFailTheLeg) {
+  EXPECT_FALSE(CannedNode(200, "terms 1\nT\tcoffee\t3\t4\ntrailing")
+                   .RouteStats({"coffee"})
+                   .ok);
+  // An undeclared extra line is trailing bytes too.
+  EXPECT_FALSE(CannedNode(200, "terms 0\nT\tcoffee\t3\t4\n")
+                   .RouteStats({"coffee"})
+                   .ok);
+}
+
+TEST(ShardReplyDecoding, ErrorStatusFailsTheLeg) {
+  const std::string body = "results 0\n";
+  EXPECT_FALSE(CannedNode(503, body).Route({"x"}, 10, 0).ok);
+  // 504 is a partial answer only with X-Dash-Partial.
+  EXPECT_FALSE(CannedNode(504, body).Route({"x"}, 10, 0).ok);
+  EXPECT_FALSE(CannedNode(400, "terms 0\n").RouteStats({"x"}).ok);
 }
 
 // ---- Chaos determinism. ----
@@ -538,21 +629,13 @@ TEST(RouterService, ParameterValidationAndStatsSchema) {
 TEST(RouterService, NodeDeadlinePartialPropagatesAs504) {
   DashEngine engine = MakeEngine();
   SnapshotPublisher publisher(engine.snapshot());
-  ServeOptions serve;
-  serve.shards = 2;
-  serve.shard_index = 0;
-  serve.num_workers = 2;
+  ServeOptions serve = ShardModeOptions(0, 2);
   serve.deadline_ms = 20;
   serve.debug_delay_ms = 200;  // burn the whole budget before searching
-  SearchServer node(publisher, serve);
-  try {
-    node.Start();
-  } catch (const std::exception&) {
-    GTEST_SKIP() << "no loopback networking in this environment";
-  }
+  SearchService node(publisher, serve);
 
   std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports(1);
-  transports[0].push_back(std::make_unique<HttpShardTransport>(node.port()));
+  transports[0].push_back(HttpShardTransport::InProcess(node));
   RouterOptions router_options;
   router_options.use_shard_stats = false;  // hit /search directly
   SearchRouter router(std::move(transports), router_options);

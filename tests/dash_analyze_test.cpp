@@ -599,6 +599,27 @@ int Serve(int n) DASH_HOT_PATH {
   EXPECT_EQ(r.violations[0].line, 4);
 }
 
+// The same holds after hex and binary digits, which may be letters; an
+// encoding prefix (u8'}', L'}') still opens a character literal, so the
+// brace inside it does not end the function early.
+TEST(Plumbing, HexDigitSeparatorKeepsTheRestOfTheLineVisible) {
+  for (const char* statement :
+       {"int m = 0xFF'FF;", "int m = 0b1010'1010;", "char m = u8'}';",
+        "wchar_t m = L'}';"}) {
+    Report r = AnalyzeFiles({{"src/core/hot.cc", std::string(R"cc(
+namespace dash::core {
+int Serve(int n) DASH_HOT_PATH {
+  )cc") + statement + R"cc( int* p = new int(n);
+  return m + *p;
+}
+}  // namespace dash::core
+)cc"}});
+    ASSERT_EQ(r.violations.size(), 1u) << statement;
+    EXPECT_EQ(r.violations[0].rule, "hot-alloc") << statement;
+    EXPECT_EQ(r.violations[0].line, 4) << statement;
+  }
+}
+
 // ...and a brace after a digit separator still opens a block, so the body
 // does not end early and hide what follows the block.
 TEST(Plumbing, DigitSeparatorKeepsTheBraceStructure) {
@@ -697,7 +718,7 @@ TEST(Tree, RepositoryIsAnalyzeClean) {
        {"TopKSearcher::Search", "ShardedEngine::MergeShardResults",
         "SearchService::HandleSearch", "ResultCache::Lookup",
         "SnapshotPublisher::Current", "IndexSnapshot::GatherTerm",
-        "RouterService::HandleRouted", "SearchRouter::MergePartials"}) {
+        "RouterService::HandleRouted"}) {
     EXPECT_TRUE(HasEntry(r.hot_roots, root)) << root;
   }
   // The audited escape set: exactly the two reviewed allowances (the

@@ -55,6 +55,21 @@ std::map<int, std::set<std::string>> ParseAllowComments(
   return allows;
 }
 
+// True when the `'` at line[quote] separates digits of a number literal
+// (1'000, 0xFF'FF, 0b1010'1010): the run of identifier characters and
+// earlier separators before it starts with a digit. A run starting with a
+// letter is an encoding prefix (u8'a', L'x'), so the quote opens a
+// character literal.
+bool IsDigitSeparator(const std::string& line, std::size_t quote) {
+  std::size_t start = quote;
+  while (start > 0 &&
+         (IsIdentChar(line[start - 1]) || line[start - 1] == '\'')) {
+    --start;
+  }
+  return start < quote &&
+         std::isdigit(static_cast<unsigned char>(line[start])) != 0;
+}
+
 // Blanks comments, string/char literals (including raw strings), and
 // preprocessor directives (with backslash continuations), preserving line
 // structure so diagnostics keep their positions.
@@ -107,11 +122,7 @@ std::vector<std::string> BuildCodeView(const std::vector<std::string>& raw) {
           } else if (c == '"') {
             state = State::kString;
             ++i;
-          } else if (c == '\'' &&
-                     !(i > 0 && (std::isdigit(static_cast<unsigned char>(
-                                     in[i - 1])) ||
-                                 in[i - 1] == '\''))) {
-            // skip digit separators like 1'000'000
+          } else if (c == '\'' && !IsDigitSeparator(in, i)) {
             state = State::kChar;
             ++i;
           } else {
