@@ -1,6 +1,7 @@
 #include "core/index_segment.h"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <utility>
 
@@ -12,10 +13,68 @@ IndexSegment::IndexSegment(FragmentIndexBuild build,
   std::sort(tombstones_.begin(), tombstones_.end());
   tombstones_.erase(std::unique(tombstones_.begin(), tombstones_.end()),
                     tombstones_.end());
+
+  // Seed orders. Each term sorts one packed integer per posting — its
+  // SeedRatio rounded to float (non-negative floats order like their bit
+  // patterns; complemented for descending) above its position — which is
+  // ~1.5x cheaper than a comparator over (ratio, position) pairs. Rounding
+  // never swaps two ratios, it can only merge distinct ones into one key,
+  // so a run of equal keys is re-sorted on the exact ratios in the rare
+  // case it mixes distinct ones.
+  const InvertedFragmentIndex& index = build_.index;
+  const std::size_t terms = index.keyword_count();
+  seed_offset_.reserve(terms + 1);
+  seed_order_.reserve(index.posting_count());
+  std::vector<double> ratio;
+  std::vector<std::uint64_t> packed;
+  for (std::size_t t = 0; t < terms; ++t) {
+    seed_offset_.push_back(seed_order_.size());
+    std::span<const Posting> span =
+        index.PostingsByFragment(static_cast<util::TermId>(t));
+    ratio.clear();
+    packed.clear();
+    for (std::size_t i = 0; i < span.size(); ++i) {
+      ratio.push_back(
+          SeedRatio(span[i].occurrences,
+                    build_.catalog.keyword_total(span[i].fragment)));
+      auto key = std::bit_cast<std::uint32_t>(static_cast<float>(ratio[i]));
+      packed.push_back(std::uint64_t{~key} << 32 | i);
+    }
+    std::sort(packed.begin(), packed.end());
+    const std::size_t first = seed_order_.size();
+    for (std::uint64_t v : packed) {
+      seed_order_.push_back(static_cast<std::uint32_t>(v));
+    }
+    std::uint32_t* order = seed_order_.data() + first;
+    for (std::size_t run = 0, end = 0; run < packed.size(); run = end) {
+      end = run + 1;
+      bool mixed = false;
+      while (end < packed.size() && packed[end] >> 32 == packed[run] >> 32) {
+        mixed = mixed || ratio[order[end]] != ratio[order[run]];
+        ++end;
+      }
+      if (!mixed) continue;
+      std::sort(order + run, order + end,
+                [&](std::uint32_t a, std::uint32_t b) {
+                  return ratio[a] != ratio[b] ? ratio[a] > ratio[b] : a < b;
+                });
+    }
+  }
+  seed_offset_.push_back(seed_order_.size());
 }
 
 bool IndexSegment::TombstoneFor(const db::Row& id) const {
   return std::binary_search(tombstones_.begin(), tombstones_.end(), id);
+}
+
+std::span<const std::uint32_t> IndexSegment::SeedOrder(
+    util::TermId term) const {
+  if (term == util::kInvalidTermId || term + std::size_t{1} >=
+                                          seed_offset_.size()) {
+    return {};
+  }
+  return {seed_order_.data() + seed_offset_[term],
+          seed_offset_[term + 1] - seed_offset_[term]};
 }
 
 SegmentPtr MakeSegment(FragmentIndexBuild build,

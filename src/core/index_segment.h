@@ -14,9 +14,15 @@
 // appending a delta or installing a compaction result builds a new
 // segment vector aside and republishes the snapshot — readers never see a
 // half-merged state (same discipline as IndexSnapshot itself).
+//
+// Construction also derives each term's *seed order* (SeedOrder below):
+// the order in which the top-k walk pulls seeds, computed once here so no
+// query sorts or scores a whole posting list before its first pop.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/inverted_index.h"
@@ -44,6 +50,12 @@ class IndexSegment {
   // sorted ascending).
   bool TombstoneFor(const db::Row& id) const;
 
+  // Term `term`'s seed order: positions into index().PostingsByFragment(
+  // term), sorted by SeedRatio descending, position (= fragment) ascending
+  // on ties. Same length as that span; empty for an unknown term. 4 bytes
+  // per posting, computed once at construction.
+  std::span<const std::uint32_t> SeedOrder(util::TermId term) const;
+
   // Size used by the tiered compaction policy: definitions + tombstones.
   std::size_t weight() const {
     return build_.catalog.size() + tombstones_.size();
@@ -52,6 +64,10 @@ class IndexSegment {
  private:
   FragmentIndexBuild build_;
   std::vector<db::Row> tombstones_;  // ascending, unique
+  // All terms' seed orders back to back; term t's is
+  // [seed_offset_[t], seed_offset_[t + 1]).
+  std::vector<std::uint32_t> seed_order_;
+  std::vector<std::size_t> seed_offset_;
 };
 
 using SegmentPtr = std::shared_ptr<const IndexSegment>;

@@ -12,22 +12,38 @@ namespace {
 // header for why it is global rather than per publisher).
 std::atomic<std::uint64_t> g_next_generation{0};
 
-// Per-thread gather scratch: one posting buffer per query term, reused
-// across queries so GatherTerm is allocation-free in steady state (the
-// same arena discipline as TopKSearcher's payload pool). A Search resets
-// `used` before constructing its searcher; every span GatherTerm hands
-// out then stays untouched until the *next* Search on this thread begins,
-// which is after the current one returned — searches never nest on a
-// thread. Callers of GatherTerm outside Search reset it the same way
-// (IndexSnapshot::ReclaimGatherScratch).
+// Per-thread gather scratch: one posting buffer and one seed-order buffer
+// per query term, reused across queries so GatherTerm is allocation-free
+// in steady state (the same arena discipline as TopKSearcher's walk
+// scratch). A Search resets `used` before constructing its searcher; every
+// span GatherTerm hands out then stays untouched until the *next* Search
+// on this thread begins, which is after the current one returned —
+// searches never nest on a thread. Callers of GatherTerm outside Search
+// reset it the same way (IndexSnapshot::ReclaimGatherScratch).
 struct GatherScratch {
-  std::vector<std::vector<Posting>> buffers;
+  struct TermBuffers {
+    std::vector<Posting> postings;
+    std::vector<std::uint32_t> seed_order;
+  };
+  std::vector<TermBuffers> buffers;
   std::size_t used = 0;
+  // Where each source posting landed in the gathered span (kNotKept when
+  // dead or outside the slice), per segment at its `base` offset; the
+  // source seed orders are translated through it. Reused across terms.
+  std::vector<std::uint32_t> landed;
   // Per-segment merge state, reused across terms.
-  std::vector<std::span<const Posting>> spans;
-  std::vector<const FragmentHandle*> maps;
-  std::vector<std::size_t> cursor;
+  struct Source {
+    std::span<const Posting> postings;
+    std::span<const std::uint32_t> seed_order;
+    const FragmentHandle* map = nullptr;  // local -> global handles
+    const FragmentCatalog* catalog = nullptr;
+    std::size_t base = 0;  // offset into `landed`
+    std::size_t cursor = 0;
+  };
+  std::vector<Source> sources;
 };
+
+constexpr std::uint32_t kNotKept = ~std::uint32_t{0};
 
 thread_local GatherScratch g_gather;
 
@@ -226,47 +242,64 @@ TermPlan IndexSnapshot::GatherTerm(std::string_view token,
     return slice.count == 1 || graph_.ShardOf(f, slice.count) == slice.index;
   };
   GatherScratch& scratch = g_gather;
-  // The next reusable posting buffer. Scratch warm-up: grows once per
+  // The next reusable buffer pair. Scratch warm-up: grows once per
   // high-water term count on this thread, then every later query reuses
   // the buffers (clear keeps capacity) — the steady state the hot-path
   // contract is about.
-  auto next_buffer = [&](std::size_t capacity) -> std::vector<Posting>& {
+  auto next_buffers = [&](std::size_t capacity) -> GatherScratch::TermBuffers& {
     if (scratch.used == scratch.buffers.size()) scratch.buffers.emplace_back();
-    std::vector<Posting>& out = scratch.buffers[scratch.used++];
-    out.clear();
-    out.reserve(capacity);
+    GatherScratch::TermBuffers& out = scratch.buffers[scratch.used++];
+    out.postings.clear();
+    out.postings.reserve(capacity);
+    out.seed_order.clear();
+    out.seed_order.reserve(capacity);
     return out;
   };
   if (segments_.size() == 1) {
-    // One segment: its own index already holds the live span and df, so
-    // the whole snapshot borrows them — no copy, no scratch, no handle
-    // mapping. A proper slice copies out the postings it owns.
-    const InvertedFragmentIndex& index = segments_[0]->index();
+    // One segment: its own index already holds the live span, df and seed
+    // order, so the whole snapshot borrows them — no copy, no scratch, no
+    // handle mapping. A proper slice copies out the postings it owns and
+    // keeps the seed order's owned positions, renumbered.
+    const IndexSegment& segment = *segments_[0];
+    const InvertedFragmentIndex& index = segment.index();
     util::TermId id = index.FindTerm(token);
-    TermPlan plan{index.IdfId(id), index.PostingsByFragment(id)};
+    TermPlan plan{index.IdfId(id), index.PostingsByFragment(id),
+                  segment.SeedOrder(id)};
     if (slice.count == 1 || plan.postings.empty()) return plan;
-    std::vector<Posting>& out = next_buffer(plan.postings.size());
-    for (const Posting& p : plan.postings) {
-      if (owned(p.fragment)) out.push_back(p);
+    GatherScratch::TermBuffers& out = next_buffers(plan.postings.size());
+    scratch.landed.resize(plan.postings.size());
+    for (std::size_t i = 0; i < plan.postings.size(); ++i) {
+      const Posting& p = plan.postings[i];
+      scratch.landed[i] = kNotKept;
+      if (!owned(p.fragment)) continue;
+      scratch.landed[i] = static_cast<std::uint32_t>(out.postings.size());
+      out.postings.push_back(p);
     }
-    plan.postings = {out.data(), out.size()};
+    for (std::uint32_t pos : plan.seed_order) {
+      if (scratch.landed[pos] != kNotKept) {
+        out.seed_order.push_back(scratch.landed[pos]);
+      }
+    }
+    plan.postings = {out.postings.data(), out.postings.size()};
+    plan.seed_order = {out.seed_order.data(), out.seed_order.size()};
     return plan;
   }
   TermPlan plan;
-  scratch.spans.clear();
-  scratch.maps.clear();
+  scratch.sources.clear();
   std::size_t total = 0;
   for (std::size_t s = 0; s < segments_.size(); ++s) {
-    const InvertedFragmentIndex& index = segments_[s]->index();
-    std::span<const Posting> span =
-        index.PostingsByFragment(index.FindTerm(token));
+    const IndexSegment& segment = *segments_[s];
+    util::TermId id = segment.index().FindTerm(token);
+    std::span<const Posting> span = segment.index().PostingsByFragment(id);
     if (span.empty()) continue;
-    scratch.spans.push_back(span);
-    scratch.maps.push_back(seg_to_global_[s].data());
+    scratch.sources.push_back(GatherScratch::Source{
+        span, segment.SeedOrder(id), seg_to_global_[s].data(),
+        &segment.catalog(), total, 0});
     total += span.size();
   }
-  if (scratch.spans.empty()) return plan;
-  std::vector<Posting>& out = next_buffer(total);
+  if (scratch.sources.empty()) return plan;
+  GatherScratch::TermBuffers& out = next_buffers(total);
+  scratch.landed.assign(total, kNotKept);
   // K-way merge on global handle. Each live fragment is defined by
   // exactly one segment (shadowed/tombstoned definitions map to
   // kDeadFragment), so the merge never has to combine duplicates, and
@@ -274,38 +307,71 @@ TermPlan IndexSnapshot::GatherTerm(std::string_view token,
   // ascending order (both catalogs are canonical over identifiers). Every
   // live posting counts toward the df; only the slice's are kept.
   std::size_t live = 0;
-  scratch.cursor.assign(scratch.spans.size(), 0);
   for (;;) {
-    std::size_t best = scratch.spans.size();
+    GatherScratch::Source* best = nullptr;
     FragmentHandle best_g = 0;
-    for (std::size_t j = 0; j < scratch.spans.size(); ++j) {
-      std::span<const Posting> span = scratch.spans[j];
-      std::size_t& c = scratch.cursor[j];
-      while (c < span.size() &&
-             scratch.maps[j][span[c].fragment] == kDeadFragment) {
+    for (GatherScratch::Source& src : scratch.sources) {
+      std::size_t& c = src.cursor;
+      while (c < src.postings.size() &&
+             src.map[src.postings[c].fragment] == kDeadFragment) {
         ++c;
       }
-      if (c >= span.size()) continue;
-      FragmentHandle g = scratch.maps[j][span[c].fragment];
-      if (best == scratch.spans.size() || g < best_g) {
-        best = j;
+      if (c >= src.postings.size()) continue;
+      FragmentHandle g = src.map[src.postings[c].fragment];
+      if (best == nullptr || g < best_g) {
+        best = &src;
         best_g = g;
       }
     }
-    if (best == scratch.spans.size()) break;
+    if (best == nullptr) break;
     ++live;
     if (owned(best_g)) {
-      out.push_back(Posting{
-          best_g, scratch.spans[best][scratch.cursor[best]].occurrences});
+      scratch.landed[best->base + best->cursor] =
+          static_cast<std::uint32_t>(out.postings.size());
+      out.postings.push_back(
+          Posting{best_g, best->postings[best->cursor].occurrences});
     }
-    ++scratch.cursor[best];
+    ++best->cursor;
   }
   if (live > 0) {
     // IDF over the *live* document frequency — exactly what a rebuilt
     // single index would report for this token.
     plan.idf = 1.0 / static_cast<double>(live);
   }
-  plan.postings = {out.data(), out.size()};
+  // K-way merge of the segments' seed orders on (SeedRatio desc, global
+  // handle asc), skipping postings the fragment merge did not keep. Each
+  // segment's order is already sorted that way (local handles ascend with
+  // global ones, and a fragment's keyword total is its defining
+  // segment's), so the merge is the order a rebuilt index would derive.
+  for (GatherScratch::Source& src : scratch.sources) src.cursor = 0;
+  for (;;) {
+    GatherScratch::Source* best = nullptr;
+    double best_ratio = 0;
+    FragmentHandle best_g = 0;
+    for (GatherScratch::Source& src : scratch.sources) {
+      std::size_t& c = src.cursor;
+      while (c < src.seed_order.size() &&
+             scratch.landed[src.base + src.seed_order[c]] == kNotKept) {
+        ++c;
+      }
+      if (c >= src.seed_order.size()) continue;
+      const Posting& p = src.postings[src.seed_order[c]];
+      double ratio =
+          SeedRatio(p.occurrences, src.catalog->keyword_total(p.fragment));
+      FragmentHandle g = src.map[p.fragment];
+      if (best == nullptr || ratio > best_ratio ||
+          (ratio == best_ratio && g < best_g)) {
+        best = &src;
+        best_ratio = ratio;
+        best_g = g;
+      }
+    }
+    if (best == nullptr) break;
+    out.seed_order.push_back(
+        scratch.landed[best->base + best->seed_order[best->cursor++]]);
+  }
+  plan.postings = {out.postings.data(), out.postings.size()};
+  plan.seed_order = {out.seed_order.data(), out.seed_order.size()};
   return plan;
 }
 
@@ -314,7 +380,7 @@ void IndexSnapshot::ReclaimGatherScratch() { g_gather.used = 0; }
 std::vector<SearchResult> IndexSnapshot::Search(
     const std::vector<std::string>& keywords, int k,
     std::uint64_t min_page_words, std::size_t max_seeds,
-    SearchDeadline* deadline, ShardSlice slice) const {
+    SearchDeadline* deadline, ShardSlice slice, QueryProfile* profile) const {
   // The searcher only binds references into this snapshot, so constructing
   // one per call is free and needs no synchronization. Every term resolves
   // through GatherTerm. Reclaim this thread's gather buffers first — any
@@ -326,7 +392,8 @@ std::vector<SearchResult> IndexSnapshot::Search(
   TopKSearcher searcher([this, slice](std::string_view token) {
     return GatherTerm(token, slice);
   }, *catalog_view_, graph_, selection_, has_app_ ? &app_ : nullptr);
-  return searcher.Search(keywords, k, min_page_words, max_seeds, deadline);
+  return searcher.Search(keywords, k, min_page_words, max_seeds, deadline,
+                         profile);
 }
 
 SnapshotPublisher::SnapshotPublisher(SnapshotPtr initial) {

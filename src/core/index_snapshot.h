@@ -116,7 +116,8 @@ class IndexSnapshot {
   FragmentIndexBuild MergedBuild() const DASH_COLD_PATH;
 
   // Top-k search against this snapshot (Algorithm 1; see topk_search.h for
-  // the parameters, including the optional per-request deadline). Lock-free
+  // the parameters, including the optional per-request deadline and work
+  // profile). Lock-free
   // and safe from any number of threads. Every snapshot runs one best-first
   // walk with its terms resolved by GatherTerm, so a multi-segment answer
   // is the exact global top-k over the merged live view, not a per-segment
@@ -128,19 +129,23 @@ class IndexSnapshot {
                                    int k, std::uint64_t min_page_words,
                                    std::size_t max_seeds = 0,
                                    SearchDeadline* deadline = nullptr,
-                                   ShardSlice slice = {}) const;
+                                   ShardSlice slice = {},
+                                   QueryProfile* profile = nullptr) const;
 
-  // Resolves one query token to its live IDF and the fragment-ascending
-  // span of the postings `slice` owns (the TermPlanSource behind Search).
-  // The IDF is always the global live one: a slice narrows the span, never
-  // the document frequency. A single-segment snapshot borrows its index's
-  // own span and IDF, and for a proper slice copies the owned postings
-  // into gather scratch. A multi-segment snapshot gathers: it resolves the
-  // token against every segment and k-way-merges the surviving postings
-  // (local handles mapped to global, shadowed/tombstoned definitions
-  // masked, the slice filter applied in the merge) into one span with the
-  // exact global IDF. A scratch-backed span stays valid until this
-  // thread's next ReclaimGatherScratch (which every Search begins with).
+  // Resolves one query token to its live IDF, the fragment-ascending
+  // span of the postings `slice` owns, and that span's seed order (the
+  // TermPlanSource behind Search). The IDF is always the global live one:
+  // a slice narrows the span, never the document frequency. A
+  // single-segment snapshot borrows its segment's own span, seed order
+  // and IDF, and for a proper slice copies the owned postings into gather
+  // scratch and keeps the seed order's owned positions. A multi-segment
+  // snapshot gathers: it resolves the token against every segment and
+  // k-way-merges the surviving postings (local handles mapped to global,
+  // shadowed/tombstoned definitions masked, the slice filter applied in
+  // the merge) into one span with the exact global IDF, then k-way-merges
+  // the segments' seed orders over the kept postings. Scratch-backed
+  // spans stay valid until this thread's next ReclaimGatherScratch (which
+  // every Search begins with).
   // Hot: this is the per-term serving path, so dash_analyze holds it to
   // the same purity contract as TopKSearcher::Search (the scratch is
   // capacity-reusing, steady-state allocation-free).

@@ -11,7 +11,10 @@
 // addressed by per-term (offset, length) spans — one pool in the classic
 // TF-descending order, one re-sorted by fragment handle so the searcher can
 // binary-search occurrences without copying lists at query time. Before
-// Finalize postings accumulate in per-term growth vectors.
+// Finalize postings accumulate in per-term growth vectors. The third order
+// the searcher reads — normalised TF descending, the order it seeds in —
+// is not kept here: IndexSegment derives it once per serving segment
+// (index_segment.h), so crawls and rebuilds that never serve don't pay it.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +39,18 @@ struct Posting {
 
   friend bool operator==(const Posting&, const Posting&) = default;
 };
+
+// A posting's normalised TF, occurrences / the fragment's keyword total:
+// the key of the per-term seed order (see IndexSegment::SeedOrder). A
+// single-fragment page scores sum_w IDF_w * SeedRatio, so a term's
+// postings in descending SeedRatio are its seeds in descending score
+// contribution. 0 for an empty fragment, which scores 0.
+inline double SeedRatio(std::uint32_t occurrences,
+                        std::uint64_t keyword_total) {
+  return keyword_total == 0 ? 0.0
+                            : static_cast<double>(occurrences) /
+                                  static_cast<double>(keyword_total);
+}
 
 class InvertedFragmentIndex {
  public:

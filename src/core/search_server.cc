@@ -26,6 +26,53 @@ std::string FormatScore(double score) {
   return buf;
 }
 
+// Reply-field escaping (RenderResults). Percent-encodes, as "%xx" in
+// lowercase hex, exactly the bytes that would break the line format: '%'
+// itself, the field and line separators (TAB, CR, LF) anywhere, plus the
+// caller's `reserved` separators — ";=" in a parameter name, ";" in a
+// value. Every other byte passes through, so a field without those bytes
+// renders as itself.
+void AppendEscaped(std::string* out, std::string_view text,
+                   std::string_view reserved) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (char c : text) {
+    if (c == '%' || c == '\t' || c == '\r' || c == '\n' ||
+        reserved.find(c) != std::string_view::npos) {
+      auto byte = static_cast<unsigned char>(c);
+      *out += '%';
+      *out += kHex[byte >> 4];
+      *out += kHex[byte & 15];
+    } else {
+      *out += c;
+    }
+  }
+}
+
+int HexDigit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
+// Inverse of AppendEscaped; false on a '%' not followed by two hex digits.
+bool Unescape(std::string_view text, std::string* out) {
+  out->clear();
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] != '%') {
+      *out += text[i];
+      continue;
+    }
+    if (i + 2 >= text.size()) return false;
+    int hi = HexDigit(text[i + 1]);
+    int lo = HexDigit(text[i + 2]);
+    if (hi < 0 || lo < 0) return false;
+    *out += static_cast<char>(hi << 4 | lo);
+    i += 2;
+  }
+  return true;
+}
+
 // Parses a decimal integer query parameter into `*out`; false on garbage
 // or a value outside [min, max].
 bool ParseBoundedInt(const std::string& text, std::int64_t min,
@@ -87,7 +134,7 @@ std::string SearchService::RenderResults(
     out += '\t';
     out += std::to_string(r.size_words);
     out += '\t';
-    out += r.url;
+    AppendEscaped(&out, r.url, "");
     out += '\t';
     for (std::size_t i = 0; i < r.fragments.size(); ++i) {
       if (i > 0) out += ',';
@@ -98,9 +145,9 @@ std::string SearchService::RenderResults(
     for (const auto& [name, value] : r.params) {
       if (!first) out += ';';
       first = false;
-      out += name;
+      AppendEscaped(&out, name, ";=");
       out += '=';
-      out += value;
+      AppendEscaped(&out, value, ";");
     }
     out += '\n';
   }
@@ -134,9 +181,9 @@ std::optional<std::vector<SearchResult>> SearchService::ParseRenderedResults(
     std::string_view line(body.data() + cursor, eol - cursor);
     cursor = eol + 1;
     // Exactly six tab-separated fields: tag, score, words, url, fragment
-    // handles, parameters. URLs and parameter values never contain tabs
-    // (RenderResults would be ambiguous otherwise), so a flat split is the
-    // exact inverse.
+    // handles, parameters. RenderResults escapes every tab, newline and
+    // separator inside the url and parameters, so a flat split followed by
+    // unescaping each piece is the exact inverse.
     std::array<std::string_view, 6> f;
     std::size_t field = 0;
     std::size_t start = 0;
@@ -157,7 +204,7 @@ std::optional<std::vector<SearchResult>> SearchService::ParseRenderedResults(
     std::int64_t words = 0;
     if (!util::ParseInt64(f[2], &words) || words < 0) return std::nullopt;
     r.size_words = static_cast<std::uint64_t>(words);
-    r.url = std::string(f[3]);
+    if (!Unescape(f[3], &r.url)) return std::nullopt;
     if (!f[4].empty()) {
       std::string_view frags = f[4];
       std::size_t s0 = 0;
@@ -181,8 +228,12 @@ std::optional<std::vector<SearchResult>> SearchService::ParseRenderedResults(
           std::string_view pair = params.substr(s0, j - s0);
           std::size_t eq = pair.find('=');
           if (eq == std::string_view::npos) return std::nullopt;
-          r.params.emplace(std::string(pair.substr(0, eq)),
-                           std::string(pair.substr(eq + 1)));
+          std::string name, value;
+          if (!Unescape(pair.substr(0, eq), &name) ||
+              !Unescape(pair.substr(eq + 1), &value)) {
+            return std::nullopt;
+          }
+          r.params.emplace(std::move(name), std::move(value));
           s0 = j + 1;
         }
       }

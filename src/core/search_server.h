@@ -146,19 +146,24 @@ class SearchService {
 
   // Canonical, locale-free rendering of a result list — one "R" line per
   // db-page: score (%.17g, round-trip exact), word count, URL, member
-  // fragment handles, and parameters. This is the /search response body
-  // format AND the comparison key of the server≡engine oracle: a server
-  // answer must equal RenderResults of the direct engine answer, byte for
-  // byte.
+  // fragment handles, and parameters ("name=value;..."). The URL and the
+  // parameters are percent-encoded ("%xx") in exactly the bytes that would
+  // break the format: '%', TAB, CR and LF anywhere, ';' and '=' in names,
+  // ';' in values; all other bytes pass through. This is the /search
+  // response body format AND the comparison key of the server≡engine
+  // oracle: a server answer must equal RenderResults of the direct engine
+  // answer, byte for byte.
   static std::string RenderResults(const std::vector<SearchResult>& results);
 
   // Exact inverse of RenderResults: the decode a router applies to every
   // shard reply, in-process or over HTTP. Because scores render as %.17g
-  // (round-trip exact) and the remaining fields are integers/verbatim
-  // strings, RenderResults(ParseRenderedResults(body)) == body for every
-  // body RenderResults can produce. The body is untrusted: returns nullopt
-  // on any malformed line, a count beyond the lines present, a non-finite
-  // score, or trailing bytes.
+  // (round-trip exact) and the remaining fields are integers or escaped
+  // strings, ParseRenderedResults(RenderResults(r)) == r for every result
+  // list, whatever bytes its URLs and parameters hold, and
+  // RenderResults(ParseRenderedResults(body)) == body for every body
+  // RenderResults can produce. The body is untrusted: returns nullopt on
+  // any malformed line, a malformed "%xx" escape, a count beyond the lines
+  // present, a non-finite score, or trailing bytes.
   static std::optional<std::vector<SearchResult>> ParseRenderedResults(
       const std::string& body);
 

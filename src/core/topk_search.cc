@@ -1,8 +1,8 @@
 #include "core/topk_search.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
-#include <unordered_set>
 
 #include "util/tokenizer.h"
 
@@ -25,9 +25,8 @@ struct Payload {
 };
 
 // A pending db-page in the priority queue (expanded entries only; seeds —
-// single-fragment pages — stay in a lightweight heap and are materialized
-// lazily, which keeps hot-keyword queries with tens of thousands of
-// relevant fragments cheap).
+// single-fragment pages — stay in a lightweight seed heap, pulled into it
+// lazily and materialized only when popped).
 struct Entry {
   double score = 0;
   std::uint64_t set_hash = 0;            // sum of MixHandle over members
@@ -121,12 +120,14 @@ class VisitedSet {
   std::uint64_t gen_ = 1;  // slots start at gen 0 == empty
 };
 
-// One query term's postings: IDF plus the plan's *borrowed* fragment-
-// sorted span (no per-query copy or re-sort — the index precomputes the
-// fragment order at Finalize).
+// One query term: IDF, the plan's *borrowed* fragment-sorted span and
+// seed order (no per-query copy or re-sort — segments precompute both),
+// and the term's seed-stream cursor.
 struct TermPostings {
   double idf = 0;
-  std::span<const Posting> by_frag;  // sorted by fragment
+  std::span<const Posting> by_frag;          // sorted by fragment
+  std::span<const std::uint32_t> seed_order;  // positions into by_frag
+  std::size_t next_seed = 0;  // seed_order[next_seed] is the stream head
   // For terms whose list covers a large share of the catalog the
   // expansion loop probes occurrences constantly; a dense frag->occ
   // array turns each probe into one load instead of a binary search.
@@ -149,8 +150,7 @@ struct Seed {
 };
 
 // Heap comparator yielding pops in (score desc, fragment asc) order — the
-// exact order the old fully-sorted seed array delivered, without the
-// O(df log df) per-query sort.
+// order of a fully sorted seed array over every relevant fragment.
 struct SeedPopLater {
   bool operator()(const Seed& a, const Seed& b) const {
     if (a.score != b.score) return a.score < b.score;
@@ -164,6 +164,51 @@ inline bool SingletonLess(FragmentHandle f,
   return f < members.front() ||
          (f == members.front() && members.size() > 1);
 }
+
+// Relative slack on the unseen-seed bound. A seed's score sums
+// IDF * occurrences / words term by term; the bound sums IDF * SeedRatio
+// over stream heads. Equal rationals (1/2, 2/4, 3/6) can round to scores
+// an ulp or two apart, so without slack a seed could stay unpulled while a
+// lower-scored one pops first. A few ulps per term is ~1e-15 relative;
+// 1e-9 covers any term count with room to spare and costs at most a few
+// extra pulls of seeds that tie to nine digits.
+constexpr double kBoundSlack = 1e-9;
+
+// Per-thread walk state. Every Search on a thread reclaims it on entry —
+// clears keep their capacity and the per-fragment marks are invalidated by
+// bumping `gen` — so a warmed-up thread's walk allocates nothing; the
+// allocations left are the results it returns. Searches never nest on a
+// thread (a TermPlanSource gathers, it never searches).
+struct WalkScratch {
+  std::vector<TermPostings> terms;  // high-water sized; the query's first n
+  std::vector<Seed> seeds;          // seed heap (SeedPopLater)
+  // Expanded-entry max-heap. Hand-rolled over a vector (same layout a
+  // std::priority_queue would produce) so the head can be *moved* out —
+  // top()+pop() on priority_queue forces a deep Entry copy per pop.
+  std::vector<Entry> queue;
+  std::vector<std::uint64_t> seed_occ, cand_occ, best_occ;
+  VisitedSet visited;  // expanded sets already queued
+  // Per-fragment stamps: in the current search a fragment is seen (scored
+  // into the seed heap), consumed (absorbed by an expansion, so its seed
+  // is dropped when popped) or used (in an output page) iff the field
+  // equals `gen`. Flat loads on the walk's innermost tests, and an O(1)
+  // reset per search instead of an O(catalog) clear.
+  struct Marks {
+    std::uint64_t seen = 0;
+    std::uint64_t consumed = 0;
+    std::uint64_t used = 0;
+  };
+  std::vector<Marks> marks;
+  std::uint64_t gen = 0;
+  // Payload arena + free list (see Payload). Every payload acquired during
+  // a search is released by the time it returns (dead heads immediately,
+  // queue survivors in the sweep before the return), so the free list
+  // stays consistent across calls.
+  std::vector<std::unique_ptr<Payload>> payload_arena;
+  std::vector<Payload*> free_payloads;
+};
+
+thread_local WalkScratch g_walk;
 
 }  // namespace
 
@@ -180,7 +225,7 @@ TopKSearcher::TopKSearcher(TermPlanSource plan, const FragmentCatalog& catalog,
 std::vector<SearchResult> TopKSearcher::Search(
     const std::vector<std::string>& keywords, int k,
     std::uint64_t min_page_words, std::size_t max_seeds,
-    SearchDeadline* deadline) const {
+    SearchDeadline* deadline, QueryProfile* profile) const {
   // Normalize the query with the indexing tokenizer and drop duplicates.
   std::vector<std::string> terms;
   for (const std::string& raw : keywords) {
@@ -193,97 +238,133 @@ std::vector<SearchResult> TopKSearcher::Search(
   std::vector<SearchResult> results;
   if (terms.empty() || k <= 0) return results;
   static const std::vector<FragmentHandle> kNoCandidates;
+  const std::size_t num_terms = terms.size();
 
-  // Per-term IDF and fragment-sorted postings (line 1 of Algorithm 1),
-  // one plan per term, borrowed from wherever the source keeps them.
-  std::vector<TermPostings> postings(terms.size());
-  std::vector<FragmentHandle> relevant;
-  std::size_t relevant_cap = 0;
-  for (std::size_t t = 0; t < terms.size(); ++t) {
-    TermPlan plan = plan_(terms[t]);
-    postings[t].idf = plan.idf;
-    postings[t].by_frag = plan.postings;
-    relevant_cap += postings[t].by_frag.size();
-    if (postings[t].by_frag.size() * 8 >= catalog_.size()) {
-      postings[t].dense.assign(catalog_.size(), 0);
-      for (const Posting& p : postings[t].by_frag) {
-        postings[t].dense[p.fragment] = p.occurrences;
-      }
-    }
-  }
-  relevant.reserve(relevant_cap);
-  for (const TermPostings& tp : postings) {
-    for (const Posting& p : tp.by_frag) relevant.push_back(p.fragment);
-  }
-  if (postings.size() > 1) {
-    // Each span is already fragment-sorted; only the multi-term union
-    // needs the sort+dedup.
-    std::sort(relevant.begin(), relevant.end());
-    relevant.erase(std::unique(relevant.begin(), relevant.end()),
-                   relevant.end());
-  }
+  WalkScratch& w = g_walk;
+  ++w.gen;
+  if (w.marks.size() < catalog_.size()) w.marks.resize(catalog_.size());
+  if (w.terms.size() < num_terms) w.terms.resize(num_terms);
+  w.seeds.clear();
+  w.queue.clear();
+  VisitedSet& visited = w.visited;
+  visited.Reset();
+  w.seed_occ.assign(num_terms, 0);
+  std::uint64_t seeds_scored = 0;
+  std::uint64_t expansions = 0;
 
-  auto score_of = [&postings](const std::vector<std::uint64_t>& occ,
-                              std::uint64_t words) {
+  auto score_of = [&w](const std::vector<std::uint64_t>& occ,
+                       std::uint64_t words) {
     if (words == 0) return 0.0;
     double score = 0;
     for (std::size_t t = 0; t < occ.size(); ++t) {
-      score += postings[t].idf * static_cast<double>(occ[t]) /
+      score += w.terms[t].idf * static_cast<double>(occ[t]) /
                static_cast<double>(words);
     }
     return score;
   };
 
-  // Seed heap: one prospective entry per relevant fragment (line 2),
-  // popped lazily in score-descending order (ties: smaller handle first,
-  // matching EntryLess on single-member lists). Building the heap is O(n)
-  // where the old sorted array cost O(n log n) per query.
-  std::vector<Seed> seeds;
-  seeds.reserve(relevant.size());
-  std::vector<std::uint64_t> seed_occ(terms.size());
-  // `relevant` and every by_frag span are fragment-ascending, so seed
-  // occurrences come from a linear merge-walk (one cursor per term)
-  // instead of a binary search per (fragment, term) pair.
-  std::vector<std::size_t> cursor(terms.size(), 0);
-  for (FragmentHandle f : relevant) {
-    for (std::size_t t = 0; t < terms.size(); ++t) {
-      const auto& by_frag = postings[t].by_frag;
-      std::size_t& c = cursor[t];
-      while (c < by_frag.size() && by_frag[c].fragment < f) ++c;
-      seed_occ[t] =
-          c < by_frag.size() && by_frag[c].fragment == f ? by_frag[c].occurrences
-                                                         : 0;
+  // Scores relevant fragment `f`, seen in term `src`'s postings with
+  // `occurrences`, onto the seed heap's storage — unless another term's
+  // stream already did. The caller restores the heap order.
+  auto add_seed = [&](FragmentHandle f, std::size_t src,
+                      std::uint32_t occurrences) {
+    if (w.marks[f].seen == w.gen) return false;
+    w.marks[f].seen = w.gen;
+    for (std::size_t t = 0; t < num_terms; ++t) {
+      w.seed_occ[t] =
+          t == src ? occurrences : w.terms[t].OccurrencesIn(f);
     }
-    seeds.push_back(Seed{score_of(seed_occ, catalog_.keyword_total(f)), f});
-  }
-  std::make_heap(seeds.begin(), seeds.end(), SeedPopLater{});
-  // Search-scope cap (see header): equivalent to truncating the sorted
-  // seed array — only the first `seed_budget` pops are considered, and
-  // consumed seeds count against the budget exactly as truncation did.
-  std::size_t seed_budget =
-      max_seeds > 0 ? std::min(max_seeds, seeds.size()) : seeds.size();
-  std::size_t heap_size = seeds.size();
-  std::size_t seeds_popped = 0;
-
-  auto drop_top_seed = [&] {
-    std::pop_heap(seeds.begin(),
-                  seeds.begin() + static_cast<std::ptrdiff_t>(heap_size),
-                  SeedPopLater{});
-    --heap_size;
-    ++seeds_popped;
+    w.seeds.push_back(Seed{score_of(w.seed_occ, catalog_.keyword_total(f)), f});
+    ++seeds_scored;
+    return true;
   };
 
-  // Payload arena + free list (see Payload). Thread-local so consecutive
-  // queries on a thread reuse warmed-up buffer capacity; every payload
-  // acquired during a search is released by the time it returns (dead
-  // heads immediately, queue survivors in the sweep before the return),
-  // so the free list stays consistent across calls.
-  static thread_local std::vector<std::unique_ptr<Payload>> payload_arena;
-  static thread_local std::vector<Payload*> free_payloads;
+  // Per-term IDF, fragment-sorted postings and seed order (line 1 of
+  // Algorithm 1), one plan per term, borrowed from wherever the source
+  // keeps them. A plan without a seed order is seeded whole right here
+  // (line 2 as written); the rest are pulled lazily below.
+  for (std::size_t t = 0; t < num_terms; ++t) {
+    TermPlan plan = plan_(terms[t]);
+    TermPostings& tp = w.terms[t];
+    tp.idf = plan.idf;
+    tp.by_frag = plan.postings;
+    tp.seed_order = plan.seed_order;
+    tp.next_seed = 0;
+    tp.dense.clear();
+    if (tp.by_frag.size() * 8 >= catalog_.size()) {
+      tp.dense.assign(catalog_.size(), 0);
+      for (const Posting& p : tp.by_frag) tp.dense[p.fragment] = p.occurrences;
+    }
+  }
+  for (std::size_t t = 0; t < num_terms; ++t) {
+    TermPostings& tp = w.terms[t];
+    if (!tp.seed_order.empty()) continue;
+    for (const Posting& p : tp.by_frag) add_seed(p.fragment, t, p.occurrences);
+  }
+  std::make_heap(w.seeds.begin(), w.seeds.end(), SeedPopLater{});
+
+  // Pulls seeds until the heap's top is the best pending seed overall:
+  // its score beats (with slack: strictly exceeds, so ties are pulled and
+  // the heap orders them) the bound on every seed still unseen. Each pull
+  // takes the stream head contributing most to that bound.
+  auto settle_seed_top = [&] {
+    for (;;) {
+      double bound = 0;
+      double best_share = -1;
+      std::size_t pick = num_terms;
+      for (std::size_t t = 0; t < num_terms; ++t) {
+        const TermPostings& tp = w.terms[t];
+        if (tp.next_seed >= tp.seed_order.size()) continue;
+        const Posting& head = tp.by_frag[tp.seed_order[tp.next_seed]];
+        double share =
+            tp.idf * SeedRatio(head.occurrences,
+                               catalog_.keyword_total(head.fragment));
+        bound += share;
+        if (share > best_share) {
+          best_share = share;
+          pick = t;
+        }
+      }
+      if (pick == num_terms) return;  // every stream drained
+      if (!w.seeds.empty() &&
+          w.seeds.front().score > bound * (1 + kBoundSlack)) {
+        return;
+      }
+      TermPostings& tp = w.terms[pick];
+      const Posting& p = tp.by_frag[tp.seed_order[tp.next_seed++]];
+      if (add_seed(p.fragment, pick, p.occurrences)) {
+        std::push_heap(w.seeds.begin(), w.seeds.end(), SeedPopLater{});
+      }
+    }
+  };
+
+  // Search-scope cap (see header): only the first `max_seeds` pops count,
+  // absorbed seeds included.
+  const std::size_t seed_budget =
+      max_seeds > 0 ? max_seeds : std::numeric_limits<std::size_t>::max();
+  std::size_t seeds_popped = 0;
+  auto drop_top_seed = [&] {
+    std::pop_heap(w.seeds.begin(), w.seeds.end(), SeedPopLater{});
+    w.seeds.pop_back();
+    ++seeds_popped;
+  };
+  // Settles the seed heap and drops seeds absorbed by an earlier
+  // expansion ("removed from Q"); true iff a live seed within the budget
+  // is on top.
+  auto next_seed_ready = [&] {
+    while (seeds_popped < seed_budget) {
+      settle_seed_top();
+      if (w.seeds.empty()) return false;
+      if (w.marks[w.seeds.front().fragment].consumed != w.gen) return true;
+      drop_top_seed();
+    }
+    return false;
+  };
+
   auto acquire_payload = [&]() -> Payload* {
-    if (!free_payloads.empty()) {
-      Payload* p = free_payloads.back();
-      free_payloads.pop_back();
+    if (!w.free_payloads.empty()) {
+      Payload* p = w.free_payloads.back();
+      w.free_payloads.pop_back();
       p->members.clear();
       p->frontier.clear();
       return p;
@@ -291,18 +372,18 @@ std::vector<SearchResult> TopKSearcher::Search(
     // Arena warm-up: each thread's arena grows O(live pages) times total,
     // then every later query on this thread reuses the free list above —
     // the steady state the hot-path contract is really about.
-    payload_arena.push_back(std::make_unique<Payload>());  // dash-analyze: allow(hot-alloc)
-    return payload_arena.back().get();
+    w.payload_arena.push_back(std::make_unique<Payload>());  // dash-analyze: allow(hot-alloc)
+    return w.payload_arena.back().get();
   };
-  auto release_payload = [&](Payload* p) { free_payloads.push_back(p); };
+  auto release_payload = [&](Payload* p) { w.free_payloads.push_back(p); };
 
   auto materialize = [&](const Seed& seed) {
     Entry e;
     e.p = acquire_payload();
     e.p->members.push_back(seed.fragment);
-    e.p->occ.resize(terms.size());
-    for (std::size_t t = 0; t < terms.size(); ++t) {
-      e.p->occ[t] = postings[t].OccurrencesIn(seed.fragment);
+    e.p->occ.resize(num_terms);
+    for (std::size_t t = 0; t < num_terms; ++t) {
+      e.p->occ[t] = w.terms[t].OccurrencesIn(seed.fragment);
     }
     e.set_hash = MixHandle(seed.fragment);
     for (FragmentHandle n : graph_.Neighbors(seed.fragment)) {
@@ -318,10 +399,7 @@ std::vector<SearchResult> TopKSearcher::Search(
     return e;
   };
 
-  // Expanded-entry max-heap. Hand-rolled over a vector (same layout a
-  // std::priority_queue would produce) so the head can be *moved* out —
-  // top()+pop() on priority_queue forces a deep Entry copy per pop.
-  std::vector<Entry> queue;
+  std::vector<Entry>& queue = w.queue;
   auto queue_top = [&]() -> const Entry& { return queue.front(); };
   auto queue_pop = [&] {
     std::pop_heap(queue.begin(), queue.end(), EntryLess{});
@@ -333,19 +411,8 @@ std::vector<SearchResult> TopKSearcher::Search(
     queue.push_back(std::move(e));
     std::push_heap(queue.begin(), queue.end(), EntryLess{});
   };
-  std::unordered_set<FragmentHandle> consumed;  // seeds absorbed by merges
-  static thread_local VisitedSet visited;       // expanded sets already queued
-  visited.Reset();
-  // Fragments already output, as a stamp array: the overlap test below
-  // runs per member per pop, so it must be a flat load; stamping makes
-  // the per-query reset O(1) instead of an O(catalog) clear.
-  static thread_local std::vector<std::uint64_t> used_stamp;
-  static thread_local std::uint64_t used_gen = 0;
-  ++used_gen;
-  if (used_stamp.size() < catalog_.size()) used_stamp.resize(catalog_.size());
-  consumed.reserve(256);
-  // Scratch buffers reused across queue pops (expansion scoring).
-  std::vector<std::uint64_t> cand_occ, best_occ;
+  std::vector<std::uint64_t>& cand_occ = w.cand_occ;
+  std::vector<std::uint64_t>& best_occ = w.best_occ;
   // Deadline polling: the clock is read on the first pop (a request that
   // arrives already past its budget does zero work) and then once every
   // kDeadlineStride pops — cheap against the work of a pop, tight enough
@@ -360,19 +427,14 @@ std::vector<SearchResult> TopKSearcher::Search(
         break;
       }
     }
-    // Drop seeds absorbed by an earlier expansion ("removed from Q").
-    while (seeds_popped < seed_budget &&
-           consumed.contains(seeds.front().fragment)) {
-      drop_top_seed();
-    }
-    // Dequeue the globally best pending entry: compare the best unpopped
+    // Dequeue the globally best pending entry: compare the best pending
     // seed with the top of the expanded-entry queue.
     Entry head;
-    if (seeds_popped < seed_budget &&
-        (queue.empty() || seeds.front().score > queue_top().score ||
-         (seeds.front().score == queue_top().score &&
-          SingletonLess(seeds.front().fragment, queue_top().p->members)))) {
-      head = materialize(seeds.front());
+    if (next_seed_ready() &&
+        (queue.empty() || w.seeds.front().score > queue_top().score ||
+         (w.seeds.front().score == queue_top().score &&
+          SingletonLess(w.seeds.front().fragment, queue_top().p->members)))) {
+      head = materialize(w.seeds.front());
       drop_top_seed();
     } else if (!queue.empty()) {
       head = queue_pop();
@@ -385,7 +447,7 @@ std::vector<SearchResult> TopKSearcher::Search(
     // excluded from search results" (paper Section IV).
     bool overlaps_output = false;
     for (FragmentHandle m : head.p->members) {
-      if (used_stamp[m] == used_gen) {
+      if (w.marks[m].used == w.gen) {
         overlaps_output = true;
         break;
       }
@@ -429,12 +491,8 @@ std::vector<SearchResult> TopKSearcher::Search(
           r.params[attr.max_parameter] = hi.ToString();
         }
       }
-      if (app_ != nullptr) {
-        std::map<std::string, std::string> url_params(r.params.begin(),
-                                                      r.params.end());
-        r.url = app_->UrlFor(url_params);
-      }
-      for (FragmentHandle m : head.p->members) used_stamp[m] = used_gen;
+      if (app_ != nullptr) r.url = app_->UrlFor(r.params);
+      for (FragmentHandle m : head.p->members) w.marks[m].used = w.gen;
       release_payload(head.p);
       results.push_back(std::move(r));
       continue;
@@ -450,8 +508,8 @@ std::vector<SearchResult> TopKSearcher::Search(
     for (FragmentHandle c : candidates) {
       cand_occ.assign(head.p->occ.begin(), head.p->occ.end());
       bool is_relevant = false;
-      for (std::size_t t = 0; t < terms.size(); ++t) {
-        std::uint32_t o = postings[t].OccurrencesIn(c);
+      for (std::size_t t = 0; t < num_terms; ++t) {
+        std::uint32_t o = w.terms[t].OccurrencesIn(c);
         if (o != 0) {
           cand_occ[t] += o;
           is_relevant = true;
@@ -507,7 +565,8 @@ std::vector<SearchResult> TopKSearcher::Search(
     expanded.words = best_words;
     expanded.score = best_score;
     release_payload(head.p);
-    if (best_relevant) consumed.insert(best);
+    ++expansions;
+    if (best_relevant) w.marks[best].consumed = w.gen;
     bool fresh = visited.Insert(expanded.set_hash, expanded.p->members);
     if (fresh) {
       queue_push(expanded);
@@ -516,6 +575,11 @@ std::vector<SearchResult> TopKSearcher::Search(
     }
   }
   for (const Entry& e : queue) release_payload(e.p);
+  if (profile != nullptr) {
+    profile->seeds_scored += seeds_scored;
+    profile->seeds_popped += seeds_popped;
+    profile->expansions += expansions;
+  }
   // Canonical output order: score descending, ties broken by the member
   // handle list (ascending handles == ascending identifier order in a
   // canonical catalog). Pop order alone is not score-sorted — a relevant

@@ -1,14 +1,25 @@
 // Top-k db-page search (paper Section VI-B, Algorithm 1).
 //
-// Seeds a priority queue with the fragments relevant to the queried
-// keywords (each resolved through a TermPlanSource, see below), repeatedly
-// dequeues the highest-scoring pending db-page, and either outputs it
-// (when it is not expandable: already >= the size threshold s, or out of
-// neighbors) or expands it by one fragment along the fragment graph,
-// favoring relevant fragments. Relevant fragments absorbed by an expansion
-// are removed from the queue. The URLs of output pages are formulated by reverse query
-// string parsing (the page's equality values + the min/max of its range
-// values).
+// The queue conceptually starts with every fragment relevant to the
+// queried keywords (each resolved through a TermPlanSource, see below);
+// the walk repeatedly dequeues the highest-scoring pending db-page, and
+// either outputs it (when it is not expandable: already >= the size
+// threshold s, or out of neighbors) or expands it by one fragment along
+// the fragment graph, favoring relevant fragments. Relevant fragments
+// absorbed by an expansion are removed from the queue. The URLs of output
+// pages are formulated by reverse query string parsing (the page's
+// equality values + the min/max of its range values).
+//
+// Seeding is lazy. Each term plan carries a seed order (its postings by
+// normalised TF descending), and the walk pulls seeds from those streams
+// into a small seed heap only while the best unseen seed could still tie
+// or beat the heap's top: every unseen fragment scores at most
+// sum_w IDF_w * (the ratio at the head of w's stream). A hot keyword with
+// tens of thousands of relevant fragments therefore scores the few
+// hundred the walk reaches, not all of them. Pop order is still the seed
+// heap's exact (score desc, fragment asc), so answers are the same as
+// seeding every fragment up front; a plan without a seed order is pulled
+// whole before the first pop, which is exactly that.
 //
 // Scoring follows the paper's modified TF/IDF: for queried keywords W,
 //   score(p) = sum_{w in W} (occurrences of w in p / total words of p)
@@ -28,6 +39,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,19 +75,35 @@ struct SearchDeadline {
   std::atomic<bool> expired{false};
 };
 
-// Everything the searcher needs for one normalized query token: its IDF
-// and a fragment-ascending posting span over catalog handles. This is the
-// searcher's only view of the inverted index. IndexSnapshot::GatherTerm
-// supplies it, from its own index or by gathering across segments; for a
-// shard slice it keeps the global IDF and narrows the span to the
-// postings that shard owns, so each shard seeds only its own fragments.
-// The span must stay valid for the duration of the Search call that
-// requested it. An unknown token yields idf 0 and an empty span.
+// Everything the searcher needs for one normalized query token: its IDF,
+// a fragment-ascending posting span over catalog handles, and that span's
+// seed order. This is the searcher's only view of the inverted index.
+// IndexSnapshot::GatherTerm supplies it, from its own index or by
+// gathering across segments; for a shard slice it keeps the global IDF
+// and narrows the span (and the order) to the postings that shard owns,
+// so each shard seeds only its own fragments. The spans must stay valid
+// for the duration of the Search call that requested them. An unknown
+// token yields idf 0 and empty spans.
 struct TermPlan {
   double idf = 0;
   std::span<const Posting> postings;  // fragment ascending
+  // Positions into `postings` by SeedRatio descending (ties: position
+  // ascending), each exactly once — the order the walk pulls this term's
+  // seeds in. Empty means no order: the walk then scores and heaps the
+  // whole span before its first pop (same answers, O(df) cost).
+  std::span<const std::uint32_t> seed_order;
 };
 using TermPlanSource = std::function<TermPlan(std::string_view token)>;
+
+// Work counters of one search — the first fields of a per-request
+// profile. Caller-owned and passed by pointer the way SearchDeadline is;
+// null (the default everywhere) means off. Search adds to the fields, so
+// one profile can sum several searches (the legs of a sharded search).
+struct QueryProfile {
+  std::uint64_t seeds_scored = 0;  // relevant fragments scored into the seed heap
+  std::uint64_t seeds_popped = 0;  // seed-heap pops, absorbed seeds included
+  std::uint64_t expansions = 0;    // pages grown by one fragment
+};
 
 class TopKSearcher {
  public:
@@ -96,9 +124,9 @@ class TopKSearcher {
   // is tokenized with the indexing tokenizer, so "Burger Experts" queries
   // two keywords). `min_page_words` is the paper's size threshold s.
   //
-  // `max_seeds` caps the number of relevant fragments seeded into the
-  // queue (0 = all, the paper's Algorithm 1). Hot keywords can match a
-  // large share of all fragments; keeping only the top-scored seeds bounds
+  // `max_seeds` caps the walk at the first `max_seeds` seed pops (0 = no
+  // cap, the paper's Algorithm 1); seeds an expansion absorbed count
+  // against it when popped. Keeping only the top-scored seeds bounds
   // query latency — the search-time analog of the crawl-scope tradeoff —
   // while expansion may still absorb unseeded relevant fragments. With
   // max_seeds >= the df of every queried keyword the results are
@@ -107,13 +135,16 @@ class TopKSearcher {
   // `deadline`, when non-null, bounds wall-clock: on expiry the search
   // returns the (complete, correctly scored) pages found so far and marks
   // the deadline expired. Passing null preserves exact determinism.
+  // `profile`, when non-null, accumulates the search's work counters.
   // DASH_HOT_PATH: the innermost serving loop. dash_analyze proves the
   // walk below allocation-free (modulo the audited arena warm-up),
-  // lock-free and log-free — see DESIGN.md §13.
+  // lock-free and log-free — see DESIGN.md §13; its per-query state lives
+  // in thread-local scratch, so a warmed thread allocates only the results.
   std::vector<SearchResult> Search(const std::vector<std::string>& keywords,
                                    int k, std::uint64_t min_page_words,
                                    std::size_t max_seeds = 0,
-                                   SearchDeadline* deadline = nullptr) const
+                                   SearchDeadline* deadline = nullptr,
+                                   QueryProfile* profile = nullptr) const
       DASH_HOT_PATH;
 
  private:

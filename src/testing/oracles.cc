@@ -16,6 +16,7 @@
 #include "core/search_server.h"
 #include "core/sharded_engine.h"
 #include "testing/chaos.h"
+#include "testing/reference_topk.h"
 #include "util/string_util.h"
 #include "util/tokenizer.h"
 #include "webapp/http_server.h"
@@ -101,6 +102,41 @@ std::string Join(const std::vector<std::string>& parts) {
     out += p;
   }
   return out;
+}
+
+// The walk under test against the reference walk (reference_topk.h),
+// rendered byte for byte: on the whole snapshot with and without a seed
+// cap, and on every slice of 2, 3 and 5 shards. Returns the first
+// disagreement, or "" when every search agrees.
+std::string CompareWithReferenceWalk(const core::IndexSnapshot& snapshot,
+                                     const std::vector<std::string>& keywords,
+                                     int k, std::uint64_t s) {
+  struct Leg {
+    std::size_t max_seeds;
+    core::ShardSlice slice;
+  };
+  std::vector<Leg> legs = {{0, {}}, {1, {}}, {3, {}}};
+  for (std::size_t count : {2, 3, 5}) {
+    for (std::size_t index = 0; index < count; ++index) {
+      legs.push_back({0, {index, count}});
+    }
+  }
+  for (const Leg& leg : legs) {
+    std::string got = core::SearchService::RenderResults(snapshot.Search(
+        keywords, k, s, leg.max_seeds, nullptr, leg.slice));
+    std::string want = core::SearchService::RenderResults(ReferenceSearch(
+        snapshot, keywords, k, s, leg.max_seeds, leg.slice));
+    if (got != want) {
+      return "'" + Join(keywords) + "' k=" + std::to_string(k) +
+             " s=" + std::to_string(s) +
+             " max_seeds=" + std::to_string(leg.max_seeds) + " slice " +
+             std::to_string(leg.slice.index) + "/" +
+             std::to_string(leg.slice.count) +
+             ": search differs from the reference walk\n  search:    " + got +
+             "  reference: " + want;
+    }
+  }
+  return "";
 }
 
 // Synthesizes a plausible row for `name` against the updater's current
@@ -394,6 +430,7 @@ OracleReport CheckInstance(const RandomInstance& inst,
   // ---- Query sweep: three answer paths + serving invariants. ----
   if (options.check_search) {
     const auto& selection = crawler->selection();
+    std::vector<std::string> previous_keywords;
     for (int q = 0; q < options.queries_per_instance; ++q) {
       std::vector<std::string> keywords = SampleKeywords(rng);
       static const int kChoices[] = {1, 2, 3, 5, 10, 25};
@@ -683,6 +720,24 @@ OracleReport CheckInstance(const RandomInstance& inst,
           }
         }
       });
+
+      // (5) The lazily seeded walk == the eager reference walk, byte for
+      // byte, on this query and (multi-term) on it joined with the
+      // previous one.
+      guard("reference-walk", [&] {
+        std::vector<std::string> joined = keywords;
+        joined.insert(joined.end(), previous_keywords.begin(),
+                      previous_keywords.end());
+        for (const auto& query : {keywords, joined}) {
+          std::string diff =
+              CompareWithReferenceWalk(*engine->snapshot(), query, k, s);
+          if (!diff.empty()) {
+            fail(diff);
+            return;
+          }
+        }
+      });
+      previous_keywords = keywords;
     }
   }
 
@@ -823,6 +878,14 @@ OracleReport CheckInstance(const RandomInstance& inst,
         if (!equal) {
           fail(ctx + ": segmented search for '" + Join(keywords) +
                "' differs from a fresh rebuild");
+          return;
+        }
+
+        // Lazily seeded walk over the gathered segments == the eager
+        // reference walk, on the snapshot and on its slices.
+        std::string diff = CompareWithReferenceWalk(*snap, keywords, 5, 20);
+        if (!diff.empty()) {
+          fail(ctx + ": " + diff);
           return;
         }
 

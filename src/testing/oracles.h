@@ -19,7 +19,10 @@
 // byte-identically to the direct engine call, over a real socket), and
 // the replicated-shard cluster invariants: router over N shard nodes ==
 // ShardedEngine byte-for-byte at zero failures, and == the exact merge
-// of the survivors with f shards killed (bounded degradation).
+// of the survivors with f shards killed (bounded degradation). Every
+// sweep query and every mixed-writes step also checks the lazily seeded
+// top-k walk against the eager reference walk (reference_topk.h), byte
+// for byte, on the whole snapshot and on its shard slices.
 //
 // Exactness boundaries (see DESIGN.md §9): top-k lists are compared
 // exactly (score, URL, members) for instances with <= 1 range attribute,

@@ -7,6 +7,7 @@
 // (testing/chaos.h) — the straggler and skew cases replay under tsan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -22,6 +23,7 @@
 #include "core/sharded_engine.h"
 #include "testing/chaos.h"
 #include "testing/fooddb.h"
+#include "util/random.h"
 #include "webapp/http.h"
 
 namespace dash::core {
@@ -408,6 +410,86 @@ TEST(Cluster, ParseRenderedResultsRoundTripsEveryRenderedBody) {
   EXPECT_FALSE(SearchService::ParseRenderedResults(
                    "results 1\nR\tnot-a-score\t1\tu\t0\t\n")
                    .has_value());
+}
+
+// Property: ParseRenderedResults(RenderResults(r)) == r for result lists
+// whose URLs and parameter names and values are arbitrary byte strings,
+// biased toward the format's own separators, and rendering them leaves no
+// raw separator inside a field. Seeded, so a failure replays.
+TEST(ShardReplyDecoding, RenderedResultsRoundTripArbitraryBytes) {
+  util::SplitMix64 rng(20261019);
+  auto random_bytes = [&rng] {
+    static constexpr char kSeparators[] = {'%', '\t', '\r', '\n', ';', '='};
+    std::string out(rng.Below(12), '\0');
+    for (char& c : out) {
+      c = rng.Below(3) == 0
+              ? kSeparators[rng.Below(sizeof(kSeparators))]
+              : static_cast<char>(rng.Below(256));
+    }
+    return out;
+  };
+  for (int round = 0; round < 500; ++round) {
+    std::vector<SearchResult> results(rng.Below(4));
+    for (SearchResult& r : results) {
+      r.score = static_cast<double>(rng.Next() >> 11) / 9007199254740992.0;
+      r.size_words = rng.Below(1000);
+      r.url = random_bytes();
+      for (std::size_t i = rng.Below(4); i > 0; --i) {
+        r.fragments.push_back(static_cast<FragmentHandle>(rng.Below(1000)));
+      }
+      for (std::size_t i = rng.Below(4); i > 0; --i) {
+        r.params[random_bytes()] = random_bytes();
+      }
+    }
+    const std::string body = SearchService::RenderResults(results);
+    ASSERT_EQ(static_cast<std::size_t>(
+                  std::count(body.begin(), body.end(), '\n')),
+              results.size() + 1)
+        << "round " << round;
+    auto parsed = SearchService::ParseRenderedResults(body);
+    ASSERT_TRUE(parsed.has_value()) << "round " << round << ": " << body;
+    ASSERT_EQ(parsed->size(), results.size()) << "round " << round;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ((*parsed)[i].score, results[i].score);
+      EXPECT_EQ((*parsed)[i].size_words, results[i].size_words);
+      EXPECT_EQ((*parsed)[i].url, results[i].url);
+      EXPECT_EQ((*parsed)[i].fragments, results[i].fragments);
+      EXPECT_EQ((*parsed)[i].params, results[i].params);
+    }
+  }
+}
+
+TEST(ShardReplyDecoding, EscapesOnlyReservedBytes) {
+  SearchResult r;
+  r.score = 0.5;
+  r.size_words = 3;
+  r.url = "h/p?a=x%y\tz";
+  r.params = {{"a;b=c", "x;y=z"}, {"plain", "caf\xC3\xA9 & more"}};
+  EXPECT_EQ(SearchService::RenderResults({r}),
+            "results 1\nR\t0.5\t3\th/p?a=x%25y%09z\t\t"
+            "a%3bb%3dc=x%3by=z;plain=caf\xC3\xA9 & more\n");
+}
+
+TEST(ShardReplyDecoding, MalformedPercentEscapeFailsTheLeg) {
+  for (const char* field : {"%", "%4", "%zz", "%g0", "a%2"}) {
+    std::string url_body =
+        std::string("results 1\nR\t0.5\t3\t") + field + "\t1\ta=1\n";
+    EXPECT_FALSE(SearchService::ParseRenderedResults(url_body).has_value())
+        << field;
+    std::string name_body =
+        std::string("results 1\nR\t0.5\t3\tu\t1\t") + field + "=1\n";
+    EXPECT_FALSE(SearchService::ParseRenderedResults(name_body).has_value())
+        << field;
+    std::string value_body =
+        std::string("results 1\nR\t0.5\t3\tu\t1\ta=") + field + "\n";
+    EXPECT_FALSE(SearchService::ParseRenderedResults(value_body).has_value())
+        << field;
+  }
+  auto decoded = SearchService::ParseRenderedResults(
+      "results 1\nR\t0.5\t3\tu%3F%3f\t1\ta%3B=%0A\n");
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ((*decoded)[0].url, "u??");
+  EXPECT_EQ((*decoded)[0].params.at("a;"), "\n");
 }
 
 // ---- Hostile shard replies fail the leg. ----

@@ -4,11 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 #include <set>
 
 #include "core/dash_engine.h"
+#include "core/index_snapshot.h"
+#include "core/search_server.h"
 #include "sql/parser.h"
 #include "testing/fooddb.h"
+#include "testing/reference_topk.h"
 #include "tpch/tpch.h"
 
 namespace dash::core {
@@ -190,6 +196,145 @@ TEST(TopKTieBreak, TiedScoresOrderByFragmentId) {
   }
 }
 
+// ---------- Lazy seeding near ties ----------
+
+// Lazy seeding pulls a term's seeds in SeedRatio order and stops while the
+// seed heap's top strictly beats the bound sum_w IDF_w * head ratio, with
+// a 1e-9 relative slack. Equal rationals under IDFs 1/3 and 1/7 round to
+// scores an ulp or two apart, on either side of that bound; here the
+// smaller handle always holds the lower score, so a walk that stopped at
+// the first seed scoring >= the bound, or > it without slack, pops it
+// first. Pairs:
+//   * "alpha beta": 18/30 & 9/30 scores an ulp above the bound, 6/10 &
+//     3/10 two ulps above (a top can beat the bound and still lose);
+//   * "gamma delta": 3/15 & 9/15 scores exactly the bound, 1/5 & 3/5 an
+//     ulp above;
+//   * "eps": 9/15 exactly the bound, 3/5 an ulp above; 1/2, 2/4, 3/6.
+// Padding fragments (ratio 1/10) set the dfs: alpha, gamma 3; beta, delta,
+// eps 7. Every search must match the reference walk byte for byte, on one
+// segment and split over two, whole and in slices.
+TEST(TopKLazySeeding, NearTiesMatchTheReferenceWalkAcrossSegmentsAndShards) {
+  struct Frag {
+    const char* group;
+    int id;
+    std::map<std::string, std::uint32_t> counts;  // without the filler
+    std::uint64_t words;
+    int segment;  // 0 = base, 1 = delta
+  };
+  const std::vector<Frag> frags = {
+      {"g1", 1, {{"alpha", 18}, {"beta", 9}}, 30, 0},
+      {"g1", 2, {{"alpha", 6}, {"beta", 3}}, 10, 1},
+      {"g1", 3, {{"alpha", 1}}, 10, 0},
+      {"g2", 1, {{"gamma", 3}, {"delta", 9}}, 15, 1},
+      {"g2", 2, {{"gamma", 1}, {"delta", 3}}, 5, 0},
+      {"g2", 3, {{"gamma", 1}}, 10, 1},
+      {"g3", 1, {{"eps", 9}}, 15, 0},
+      {"g3", 2, {{"eps", 3}}, 5, 1},
+      {"g3", 3, {{"eps", 1}}, 2, 0},
+      {"g3", 4, {{"eps", 2}}, 4, 1},
+      {"g3", 5, {{"eps", 3}}, 6, 0},
+      {"g4", 1, {{"beta", 1}, {"delta", 1}, {"eps", 1}}, 10, 0},
+      {"g4", 2, {{"beta", 1}, {"delta", 1}, {"eps", 1}}, 10, 1},
+      {"g5", 1, {{"beta", 1}, {"delta", 1}}, 10, 0},
+      {"g5", 2, {{"beta", 1}, {"delta", 1}}, 10, 1},
+      {"g5", 3, {{"beta", 1}, {"delta", 1}}, 10, 0},
+  };
+  auto build_of = [&](int segment) {
+    FragmentIndexBuild build;
+    for (const Frag& f : frags) {  // ascending identifiers
+      if (segment >= 0 && f.segment != segment) continue;
+      FragmentHandle h = build.catalog.Intern({db::Value(f.group),
+                                               db::Value(f.id)});
+      std::uint64_t filler = f.words;
+      for (const auto& [keyword, occurrences] : f.counts) {
+        build.index.AddOccurrences(keyword, h, occurrences);
+        filler -= occurrences;
+      }
+      if (filler > 0) {
+        build.index.AddOccurrences("zz", h,
+                                   static_cast<std::uint32_t>(filler));
+      }
+    }
+    build.index.Finalize(&build.catalog);
+    return build;
+  };
+  const sql::PsjQuery query = sql::Parse(
+      "SELECT * FROM items WHERE items.grp = $g AND items.id BETWEEN $lo "
+      "AND $hi");
+  const std::vector<SnapshotPtr> snapshots = {
+      IndexSnapshot::CreateWithoutApp(query, build_of(-1)),
+      IndexSnapshot::CreateSegmentedWithoutApp(
+          query, {MakeSegment(build_of(0)), MakeSegment(build_of(1))})};
+  ASSERT_EQ(snapshots[1]->segment_count(), 2u);
+
+  // The ulp-level ordering the test depends on.
+  const std::vector<std::vector<std::string>> queries = {
+      {"alpha", "beta"}, {"gamma", "delta"}, {"eps"}};
+  for (const SnapshotPtr& snapshot : snapshots) {
+    auto top = snapshot->Search(queries[0], 1, 0);
+    ASSERT_EQ(top.size(), 1u);
+    EXPECT_EQ(top[0].fragments,
+              std::vector<FragmentHandle>{1});  // g1/2, not g1/1
+    top = snapshot->Search(queries[1], 1, 0);
+    ASSERT_EQ(top.size(), 1u);
+    EXPECT_EQ(top[0].fragments, std::vector<FragmentHandle>{4});  // g2/2
+    top = snapshot->Search(queries[2], 1, 0);
+    ASSERT_EQ(top.size(), 1u);
+    EXPECT_EQ(top[0].fragments, std::vector<FragmentHandle>{7});  // g3/2
+  }
+
+  for (const SnapshotPtr& snapshot : snapshots) {
+    for (const auto& keywords : queries) {
+      for (int k = 1; k <= 8; ++k) {
+        for (std::uint64_t s : {std::uint64_t{0}, std::uint64_t{25}}) {
+          for (std::size_t count : {1, 2, 3, 5}) {
+            for (std::size_t index = 0; index < count; ++index) {
+              ShardSlice slice{index, count};
+              EXPECT_EQ(SearchService::RenderResults(snapshot->Search(
+                            keywords, k, s, 0, nullptr, slice)),
+                        SearchService::RenderResults(dash::testing::ReferenceSearch(
+                            *snapshot, keywords, k, s, 0, slice)))
+                  << keywords.front() << " k=" << k << " s=" << s
+                  << " slice " << index << "/" << count << ", "
+                  << snapshot->segment_count() << " segment(s)";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Segments sort seed orders on a float key; ratios that differ below float
+// precision share a key and must still be ordered exactly, or the bound
+// read at a lower-ratio stream head lets a higher-scored seed behind it
+// stay unpulled. 2048 / (2^26 + d) for d = 1, 2, 0 all round to the float
+// 2^-15 and sit at handles 0, 1, 2; handle 2 (d = 0) scores highest.
+TEST(TopKLazySeeding, RatiosSharingAFloatKeyStillPopInScoreOrder) {
+  FragmentIndexBuild build;
+  const std::uint64_t base = std::uint64_t{1} << 26;
+  int id = 0;
+  for (std::uint64_t extra : {1, 2, 0}) {
+    FragmentHandle h = build.catalog.Intern({db::Value("g"), db::Value(++id)});
+    build.index.AddOccurrences("x", h, 2048);
+    build.index.AddOccurrences("zz", h,
+                               static_cast<std::uint32_t>(base + extra - 2048));
+  }
+  build.index.Finalize(&build.catalog);
+  SnapshotPtr snapshot = IndexSnapshot::CreateWithoutApp(
+      sql::Parse("SELECT * FROM items WHERE items.grp = $g AND items.id "
+                 "BETWEEN $lo AND $hi"),
+      std::move(build));
+  for (int k = 1; k <= 3; ++k) {
+    auto results = snapshot->Search({"x"}, k, 0);
+    ASSERT_EQ(results.size(), static_cast<std::size_t>(k));
+    EXPECT_EQ(results[0].fragments, std::vector<FragmentHandle>{2});
+    EXPECT_EQ(SearchService::RenderResults(results),
+              SearchService::RenderResults(
+                  dash::testing::ReferenceSearch(*snapshot, {"x"}, k, 0)));
+  }
+}
+
 // ---------- TPC-H workload sanity ----------
 
 class TpchTopKTest : public ::testing::Test {
@@ -225,6 +370,28 @@ TEST_F(TpchTopKTest, HotKeywordSearchesScaleWithK) {
     EXPECT_NE(r.url.find("example.com/q2?r="), std::string::npos);
     EXPECT_GT(r.size_words, 0u);
   }
+}
+
+// Lazy seeding's work counters: a k=1 query on the hottest keyword scores
+// a small part of its postings, while an exhaustive one (k beyond the
+// catalog: the walk runs until the queue is empty) scores and pops every
+// one of them.
+TEST_F(TpchTopKTest, LazySeedingScoresAFractionOfAHotTermsPostings) {
+  DashEngine engine = BuildEngine();
+  const auto [hot, df] = engine.index().KeywordsByDf().front();
+  QueryProfile top1;
+  auto results =
+      engine.snapshot()->Search({hot}, 1, 100, 0, nullptr, {}, &top1);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_LT(top1.seeds_scored * 4, df) << hot << " df " << df;
+  EXPECT_GE(top1.seeds_popped, 1u);
+
+  QueryProfile all;
+  const int k_all = static_cast<int>(engine.catalog().size()) + 1;
+  engine.snapshot()->Search({hot}, k_all, 100, 0, nullptr, {}, &all);
+  EXPECT_EQ(all.seeds_scored, df);
+  EXPECT_EQ(all.seeds_popped, df);
+  EXPECT_GT(all.expansions, top1.expansions);
 }
 
 TEST_F(TpchTopKTest, SizeThresholdGrowsPages) {
