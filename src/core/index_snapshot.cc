@@ -382,14 +382,16 @@ std::vector<SearchResult> IndexSnapshot::Search(
     std::uint64_t min_page_words, std::size_t max_seeds,
     SearchDeadline* deadline, ShardSlice slice, QueryProfile* profile) const {
   // The searcher only binds references into this snapshot, so constructing
-  // one per call is free and needs no synchronization. Every term resolves
-  // through GatherTerm. Reclaim this thread's gather buffers first — any
-  // spans handed to a previous Search on this thread are dead once that
-  // call returned (an empty query reclaims them without searching). The
-  // walk never leaves an equality group, so seeding only the slice's
-  // postings keeps it inside the slice.
+  // one per call is free and needs no synchronization. Its plan source
+  // captures two pointers (`this`, `&slice`), which std::function stores
+  // without allocating. Every term resolves through GatherTerm. Reclaim
+  // this thread's gather buffers first — any spans handed to a previous
+  // Search on this thread are dead once that call returned (an empty
+  // query reclaims them without searching). The walk never leaves an
+  // equality group, so seeding only the slice's postings keeps it inside
+  // the slice.
   ReclaimGatherScratch();
-  TopKSearcher searcher([this, slice](std::string_view token) {
+  TopKSearcher searcher([this, &slice](std::string_view token) {
     return GatherTerm(token, slice);
   }, *catalog_view_, graph_, selection_, has_app_ ? &app_ : nullptr);
   return searcher.Search(keywords, k, min_page_words, max_seeds, deadline,

@@ -27,10 +27,9 @@
 //     stragglers, and stale-generation replicas deterministically from a
 //     seed; the router must degrade exactly as this header specifies.
 //
-// Degradation contract: a query over t shards with a answering (answered
-// = searched + exactly-skipped, see below) returns precisely
-// MergeShardResults of the answering shards' local top-k lists. With
-// a == t that is byte-identical to ShardedEngine::Search (the
+// Degradation contract: a query over t shards with a answering returns
+// precisely MergeShardResults of the answering shards' local top-k lists.
+// With a == t that is byte-identical to ShardedEngine::Search (the
 // cluster≡engine oracle); with a < t it is the best possible answer from
 // the surviving shards (the bounded-degradation oracle), never an error.
 // Every router response carries coverage and skew headers:
@@ -41,12 +40,13 @@
 //     replicas advance independently, so one response may mix
 //     generations; min==max certifies a consistent snapshot view.
 //
-// Shard selection: before searching, a leg may probe its replica's
-// /shardstats for the query's normalized tokens. A shard whose df is 0
-// for EVERY token cannot contribute (no seed posting → empty local
-// top-k), so the leg skips the search exactly — it still counts as
-// answered, with the probe's generation. Non-zero stats (df, max
-// occurrence count) are surfaced per shard for routing diagnostics.
+// One request per leg: every leg is exactly one /search to one replica,
+// whatever the query. A shard holding no posting for any query token
+// answers it with an empty list and its generation after the same slice
+// gather a /shardstats probe would run, so probing first to skip such a
+// shard only doubles the node requests of every leg. Every shard is
+// routed: selecting shards away would need bounds cached per generation,
+// not a probe per query.
 //
 // Status mapping: 200 answered (degraded or not), 503 + Retry-After when
 // NO shard answered, 504 + X-Dash-Partial when an answering replica's
@@ -80,15 +80,6 @@ struct ShardReply {
   std::vector<SearchResult> results;  // the replica's local top-k
 };
 
-// A /shardstats answer: the slice statistics plus the generation they
-// were computed against (stats and results can skew across replicas like
-// everything else).
-struct ShardStatsReply {
-  bool ok = false;
-  std::uint64_t generation = 0;
-  std::vector<ShardTermStats> terms;
-};
-
 // Transport to ONE replica of ONE shard. Implementations block (sockets,
 // injected straggler sleeps), so the router only ever calls them from its
 // own scatter pool — never from the shared process pool and never under a
@@ -101,22 +92,18 @@ class ShardTransport {
   virtual ShardReply Route(const std::vector<std::string>& keywords, int k,
                            std::uint64_t min_page_words) DASH_BLOCKING = 0;
 
-  // The replica's per-token slice statistics for shard selection.
-  virtual ShardStatsReply RouteStats(
-      const std::vector<std::string>& keywords) DASH_BLOCKING = 0;
-
   // Diagnostic label ("in-process shard 2/4", "127.0.0.1:8431").
   virtual std::string description() const = 0;
 };
 
 // The transport to a shard node: a SearchService in shard-node mode. It
-// builds the node's /search or /shardstats target and decodes the reply
+// builds the node's /search target and decodes the reply
 // (ParseRenderedResults, whose %.17g round-trip keeps the cluster≡engine
-// oracle byte-exact across the hop, and the /shardstats grammar). Where
-// the node lives is the one call that turns a target into its response:
-// InProcess calls the node's Handle directly, Loopback fetches over
-// 127.0.0.1. Replies are untrusted input: any malformed body, or a status
-// other than 200 (or 504 + X-Dash-Partial on /search), fails the leg.
+// oracle byte-exact across the hop). Where the node lives is the one call
+// that turns a target into its response: InProcess calls the node's
+// Handle directly, Loopback fetches over 127.0.0.1. Replies are untrusted
+// input: a malformed body, a missing or malformed X-Dash-Generation, or a
+// status other than 200 (or 504 + X-Dash-Partial) fails the leg.
 class HttpShardTransport : public ShardTransport {
  public:
   // Target → the node's response; nullopt when the node did not answer.
@@ -134,8 +121,6 @@ class HttpShardTransport : public ShardTransport {
 
   ShardReply Route(const std::vector<std::string>& keywords, int k,
                    std::uint64_t min_page_words) override DASH_BLOCKING;
-  ShardStatsReply RouteStats(const std::vector<std::string>& keywords)
-      override DASH_BLOCKING;
   std::string description() const override { return description_; }
 
  private:
@@ -151,12 +136,6 @@ struct RouterOptions {
   // transport call finishes on the scatter pool in the background).
   // 0 = wait for every leg.
   int shard_deadline_ms = 0;
-  // Probe /shardstats and skip shards whose df is 0 for every query
-  // token (exact — such a shard's local top-k is provably empty).
-  bool use_shard_stats = true;
-  // Failed-replica penalty: selection score is ewma_us << min(consecutive
-  // failures, 6), so a freshly failed replica ranks behind a healthy one
-  // even before latency differentiates them.
   int retry_after_seconds = 1;  // Retry-After on 503 (no shard answered)
 };
 
@@ -165,9 +144,8 @@ struct RouterOptions {
 struct RoutedResult {
   std::vector<SearchResult> results;
   int shards_total = 0;
-  int shards_answered = 0;  // searched + exactly-skipped
-  int shards_skipped = 0;   // df-0 exact skips (subset of answered)
-  bool partial = false;     // any answering leg was deadline-truncated
+  int shards_answered = 0;
+  bool partial = false;  // any answering leg was deadline-truncated
   std::uint64_t generation_min = 0;  // over answering replicas; 0 when none
   std::uint64_t generation_max = 0;
 };
@@ -219,7 +197,6 @@ class SearchRouter {
   // What one leg (one shard's attempt chain) reports to the gather.
   struct LegOutcome {
     bool answered = false;
-    bool skipped = false;  // answered via an exact df-0 skip
     bool partial = false;
     std::uint64_t generation = 0;
     std::vector<SearchResult> results;

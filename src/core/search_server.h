@@ -61,8 +61,8 @@ struct ServeOptions {
   // Shard-node mode (core/search_router.h): when >= 0 (with shards > 0)
   // this node serves ONLY shard `shard_index` of `shards` — /search
   // answers the local top-k of that slice (one scatter leg), and
-  // /shardstats reports the slice's per-term df/max-occurrence statistics
-  // so a router can do shard selection. -1 = whole-index serving.
+  // /shardstats reports the slice's per-term df/max-occurrence statistics.
+  // -1 = whole-index serving.
   int shard_index = -1;
   int default_k = 10;               // k when the query omits it
   std::uint64_t default_s = 0;      // s (min page words) when omitted
@@ -186,8 +186,9 @@ class SearchService {
       std::chrono::steady_clock::time_point admitted) DASH_HOT_PATH;
   webapp::HttpResponse HandleStats() DASH_EXCLUDES(stats_mutex_);
   // Shard-node statistics endpoint (/shardstats?q=...): per normalized
-  // token, this shard's df and max occurrence count — the router's shard-
-  // selection input. 400 outside shard-node mode.
+  // token, this shard's df and max occurrence count, for inspecting a
+  // slice. The router does not call it: each leg is one /search. 400
+  // outside shard-node mode.
   webapp::HttpResponse HandleShardStats(const webapp::HttpRequest& request);
 
   // The sanctioned slow path: everything a cache miss is allowed to do —

@@ -31,7 +31,8 @@
 // merge is a deterministic sort. Search stays this direct in-process
 // scatter rather than a SearchRouter over in-process shard nodes: it is
 // what a sharded SearchServer runs per request, and a router would add a
-// future, a keyword copy, a replica sort and a /shardstats probe per leg.
+// future, a keyword copy, a replica sort and a request render and decode
+// per leg.
 // The two share the gather: MergeShardResults is also the router's merge,
 // over whichever shards answered.
 #pragma once
@@ -93,13 +94,13 @@ class ShardedEngine {
                                         int k, std::uint64_t min_page_words,
                                         SearchDeadline* deadline = nullptr) const;
 
-  // Per-(token, shard) statistics for router-side shard selection: the
-  // document frequency of the normalized `token` within `shard` (how many
-  // of the shard's fragments contain it) and the maximum per-fragment
+  // Per-(token, shard) statistics, the body of a shard node's /shardstats:
+  // the document frequency of the normalized `token` within `shard` (how
+  // many of the shard's fragments contain it) and the maximum per-fragment
   // occurrence count, both 0 for an unknown token. A shard whose df is 0
-  // for every query term can be skipped exactly — no relevant fragment
-  // means no seeds and hence an empty local top-k. Like a Search, it
-  // reclaims the calling thread's gather scratch.
+  // for every query term has an empty local top-k — no relevant fragment
+  // means no seeds. Like a Search, it reclaims the calling thread's gather
+  // scratch.
   ShardTermStats TermStats(std::string token, std::size_t shard) const;
 
   // Gather half of Search: merges per-shard top-k lists by (score desc,

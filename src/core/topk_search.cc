@@ -212,14 +212,15 @@ thread_local WalkScratch g_walk;
 
 }  // namespace
 
-TopKSearcher::TopKSearcher(TermPlanSource plan, const FragmentCatalog& catalog,
-                           const FragmentGraph& graph,
-                           std::vector<sql::SelectionAttribute> selection,
-                           const webapp::WebAppInfo* app)
+TopKSearcher::TopKSearcher(
+    TermPlanSource plan, const FragmentCatalog& catalog,
+    const FragmentGraph& graph,
+    const std::vector<sql::SelectionAttribute>& selection,
+    const webapp::WebAppInfo* app)
     : plan_(std::move(plan)),
       catalog_(catalog),
       graph_(graph),
-      selection_(std::move(selection)),
+      selection_(selection),
       app_(app) {}
 
 std::vector<SearchResult> TopKSearcher::Search(

@@ -117,7 +117,7 @@ class TopKSearcher {
   // of each term lies inside it, as equality-group sharding guarantees.
   TopKSearcher(TermPlanSource plan, const FragmentCatalog& catalog,
                const FragmentGraph& graph,
-               std::vector<sql::SelectionAttribute> selection,
+               const std::vector<sql::SelectionAttribute>& selection,
                const webapp::WebAppInfo* app = nullptr);
 
   // Returns at most k db-pages relevant to `keywords` (each input string
@@ -151,7 +151,7 @@ class TopKSearcher {
   TermPlanSource plan_;
   const FragmentCatalog& catalog_;
   const FragmentGraph& graph_;
-  std::vector<sql::SelectionAttribute> selection_;
+  const std::vector<sql::SelectionAttribute>& selection_;
   const webapp::WebAppInfo* app_;
 };
 

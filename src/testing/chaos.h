@@ -93,8 +93,6 @@ class ChaosTransport : public core::ShardTransport {
 
   core::ShardReply Route(const std::vector<std::string>& keywords, int k,
                          std::uint64_t min_page_words) override;
-  core::ShardStatsReply RouteStats(
-      const std::vector<std::string>& keywords) override;
   std::string description() const override;
 
   std::uint64_t requests() const {
@@ -124,7 +122,6 @@ struct ClusterOptions {
   int default_k = 10;
   std::uint64_t default_s = 0;
   int shard_deadline_ms = 0;  // router-side per-leg budget; 0 = none
-  bool use_shard_stats = true;
   ChaosProfile chaos;
   std::uint64_t chaos_seed = 0;
 };

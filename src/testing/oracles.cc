@@ -1058,10 +1058,9 @@ OracleReport CheckInstance(const RandomInstance& inst,
   // Zero failures: a router over N in-process shard nodes must answer
   // byte-identically to the single-process ShardedEngine over the same
   // snapshot, with full coverage and zero generation skew. Each node is a
-  // shard-node SearchService, so every leg runs the real /search and
-  // /shardstats handlers and the router's reply decoders: the identity
-  // covers the wire encoding, and it holds through the router's df-based
-  // shard skipping (a skipped shard's local top-k is provably empty).
+  // shard-node SearchService, so every leg runs the real /search handler
+  // and the router's reply decoder: the identity covers the wire encoding,
+  // including the empty replies of shards that hold no query token.
   if (options.check_cluster) {
     static const int kChoices[] = {1, 3, 10, 25};
     static const std::uint64_t kSizes[] = {0, 5, 80, 100000};

@@ -122,7 +122,7 @@ TEST(Cluster, ZeroFailureByteIdentityOverHttp) {
     webapp::HttpResponse response =
         cluster->service().Handle(Get(Target(keywords, 5, 10)), Now());
     ASSERT_EQ(response.status, 200);
-    // The full wire path — /shardstats probe, /search, RenderResults →
+    // The full wire path — one /search per leg, RenderResults →
     // ParseRenderedResults → RenderResults — must preserve every byte.
     EXPECT_EQ(response.body, SearchService::RenderResults(
                                  cluster->reference().Search(keywords, 5, 10)));
@@ -494,14 +494,18 @@ TEST(ShardReplyDecoding, MalformedPercentEscapeFailsTheLeg) {
 
 // ---- Hostile shard replies fail the leg. ----
 
-// A transport whose node answers every target with `status` and `body`.
-HttpShardTransport CannedNode(int status, std::string body) {
+// A transport whose node answers every target with `status`, `body` and
+// an X-Dash-Generation of `generation` (no header when null).
+HttpShardTransport CannedNode(int status, std::string body,
+                              const char* generation = "7") {
   return HttpShardTransport(
-      [status, body](const std::string&) {
+      [status, body, generation](const std::string&) {
         webapp::HttpResponse response;
         response.status = status;
         response.body = body;
-        response.headers["X-Dash-Generation"] = "7";
+        if (generation != nullptr) {
+          response.headers["X-Dash-Generation"] = generation;
+        }
         return std::optional<webapp::HttpResponse>(response);
       },
       "canned");
@@ -515,14 +519,6 @@ TEST(ShardReplyDecoding, WellFormedRepliesDecode) {
   EXPECT_EQ(reply.generation, 7u);
   ASSERT_EQ(reply.results.size(), 1u);
   EXPECT_EQ(reply.results[0].score, 0.5);
-
-  ShardStatsReply stats =
-      CannedNode(200, "terms 1\nT\tcoffee\t3\t4294967295\n")
-          .RouteStats({"coffee"});
-  ASSERT_TRUE(stats.ok);
-  ASSERT_EQ(stats.terms.size(), 1u);
-  EXPECT_EQ(stats.terms[0].df, 3u);
-  EXPECT_EQ(stats.terms[0].max_occurrences, 4294967295u);
 }
 
 TEST(ShardReplyDecoding, ResultCountBeyondTheLinesPresentFailsTheLeg) {
@@ -538,7 +534,6 @@ TEST(ShardReplyDecoding, ResultCountBeyondTheLinesPresentFailsTheLeg) {
   transports[0].push_back(std::make_unique<HttpShardTransport>(
       CannedNode(200, "results 1000000000\n")));
   RouterOptions options;
-  options.use_shard_stats = false;
   SearchRouter router(std::move(transports), options);
   RoutedResult routed = router.RouteQuery({"x"}, 10, 0);
   EXPECT_EQ(routed.shards_answered, 0);
@@ -552,20 +547,24 @@ TEST(ShardReplyDecoding, NonFiniteScoreFailsTheLeg) {
   }
 }
 
-TEST(ShardReplyDecoding, MaxOccurrencesAboveUint32FailsTheLeg) {
-  EXPECT_FALSE(CannedNode(200, "terms 1\nT\tcoffee\t3\t4294967296\n")
-                   .RouteStats({"coffee"})
-                   .ok);
-}
+// A node stamps X-Dash-Generation on every /search reply it sends, so a
+// reply without a valid one is malformed: counting it as answered would
+// report a made-up generation 0 in the router's skew headers.
+TEST(ShardReplyDecoding, MissingOrMalformedGenerationFailsTheLeg) {
+  const std::string body = "results 0\n";
+  EXPECT_FALSE(CannedNode(200, body, nullptr).Route({"x"}, 10, 0).ok);
+  for (const char* generation : {"abc", "-1"}) {
+    EXPECT_FALSE(CannedNode(200, body, generation).Route({"x"}, 10, 0).ok)
+        << generation;
+  }
 
-TEST(ShardReplyDecoding, ShardStatsTrailingBytesFailTheLeg) {
-  EXPECT_FALSE(CannedNode(200, "terms 1\nT\tcoffee\t3\t4\ntrailing")
-                   .RouteStats({"coffee"})
-                   .ok);
-  // An undeclared extra line is trailing bytes too.
-  EXPECT_FALSE(CannedNode(200, "terms 0\nT\tcoffee\t3\t4\n")
-                   .RouteStats({"coffee"})
-                   .ok);
+  std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports(1);
+  transports[0].push_back(std::make_unique<HttpShardTransport>(
+      CannedNode(200, body, nullptr)));
+  SearchRouter router(std::move(transports), RouterOptions{});
+  RoutedResult routed = router.RouteQuery({"x"}, 10, 0);
+  EXPECT_EQ(routed.shards_answered, 0);
+  EXPECT_EQ(router.replica_health(0, 0).failures, 1u);
 }
 
 TEST(ShardReplyDecoding, ErrorStatusFailsTheLeg) {
@@ -573,7 +572,6 @@ TEST(ShardReplyDecoding, ErrorStatusFailsTheLeg) {
   EXPECT_FALSE(CannedNode(503, body).Route({"x"}, 10, 0).ok);
   // 504 is a partial answer only with X-Dash-Partial.
   EXPECT_FALSE(CannedNode(504, body).Route({"x"}, 10, 0).ok);
-  EXPECT_FALSE(CannedNode(400, "terms 0\n").RouteStats({"x"}).ok);
 }
 
 // ---- Chaos determinism. ----
@@ -626,12 +624,6 @@ class StubTransport : public ShardTransport {
   ShardReply Route(const std::vector<std::string>&, int,
                    std::uint64_t) override {
     ShardReply reply;
-    reply.ok = true;
-    reply.generation = 1;
-    return reply;
-  }
-  ShardStatsReply RouteStats(const std::vector<std::string>&) override {
-    ShardStatsReply reply;
     reply.ok = true;
     reply.generation = 1;
     return reply;
@@ -706,6 +698,53 @@ TEST(RouterService, ParameterValidationAndStatsSchema) {
   EXPECT_EQ(counters.not_found, 1u);
 }
 
+// ---- One node request per leg. ----
+
+TEST(Router, OneNodeRequestPerLeg) {
+  DashEngine engine = MakeEngine();
+  const int kShards = 3;
+  SnapshotPublisher publisher(engine.snapshot());
+  std::vector<std::unique_ptr<SearchService>> nodes;
+  std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports(
+      kShards);
+  for (int shard = 0; shard < kShards; ++shard) {
+    nodes.push_back(std::make_unique<SearchService>(
+        publisher, ShardModeOptions(shard, kShards)));
+    transports[static_cast<std::size_t>(shard)].push_back(
+        HttpShardTransport::InProcess(*nodes.back()));
+  }
+  SearchRouter router(std::move(transports), RouterOptions{});
+  ShardedEngine reference(engine.snapshot(), kShards);
+
+  // "burger" and "coffee" each have a shard without a posting for them,
+  // "nosuchkeyword" has none anywhere, and "..." normalizes to no token at
+  // all: every leg still costs its node exactly one request.
+  for (const char* token : {"burger", "coffee"}) {
+    ASSERT_GT(engine.index().Df(token), 0u);
+    bool some_shard_lacks_it = false;
+    for (int shard = 0; shard < kShards; ++shard) {
+      some_shard_lacks_it =
+          some_shard_lacks_it ||
+          reference.TermStats(token, static_cast<std::size_t>(shard)).df == 0;
+    }
+    EXPECT_TRUE(some_shard_lacks_it) << token;
+  }
+  const std::vector<std::vector<std::string>> queries = {
+      {"burger"}, {"coffee"}, {"burger", "coffee"}, {"nosuchkeyword"},
+      {"..."}};
+  for (const auto& keywords : queries) {
+    RoutedResult routed = router.RouteQuery(keywords, 10, 0);
+    EXPECT_EQ(routed.shards_answered, kShards);
+    EXPECT_EQ(SearchService::RenderResults(routed.results),
+              SearchService::RenderResults(reference.Search(keywords, 10, 0)));
+  }
+  for (int shard = 0; shard < kShards; ++shard) {
+    EXPECT_EQ(nodes[static_cast<std::size_t>(shard)]->counters().requests_total,
+              queries.size())
+        << "shard " << shard;
+  }
+}
+
 // ---- Node-side deadline → router-level 504 partial. ----
 
 TEST(RouterService, NodeDeadlinePartialPropagatesAs504) {
@@ -719,7 +758,6 @@ TEST(RouterService, NodeDeadlinePartialPropagatesAs504) {
   std::vector<std::vector<std::unique_ptr<ShardTransport>>> transports(1);
   transports[0].push_back(HttpShardTransport::InProcess(node));
   RouterOptions router_options;
-  router_options.use_shard_stats = false;  // hit /search directly
   SearchRouter router(std::move(transports), router_options);
   RouterService service(router, router_options);
 

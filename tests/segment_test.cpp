@@ -385,7 +385,7 @@ TEST_F(SegmentTest, ShardSlicesPartitionGatherTerm) {
   }
 }
 
-// /shardstats probes resolve through GatherTerm outside any Search, so
+// /shardstats requests resolve through GatherTerm outside any Search, so
 // ShardedEngine::TermStats must reclaim the gather scratch itself: once the
 // thread is warm, repeated probes allocate nothing.
 TEST_F(SegmentTest, RepeatedTermStatsReuseGatherScratch) {

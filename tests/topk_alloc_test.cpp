@@ -13,6 +13,7 @@
 
 #include "core/dash_engine.h"
 #include "sql/parser.h"
+#include "testing/fooddb.h"
 #include "tpch/tpch.h"
 
 namespace {
@@ -96,6 +97,29 @@ TEST(TopKAllocation, WarmHotQueriesAllocateOnlyTheirResults) {
           << " expansions";
     }
   }
+}
+
+// Binding the searcher to the snapshot allocates nothing: it borrows the
+// snapshot's selection layout, and its plan source fits std::function's
+// local buffer. What remains for a keyword no fragment holds is the
+// caller's one-element keyword vector, the tokenized query and the
+// deduplicated term list.
+TEST(TopKAllocation, BindingTheSearcherAllocatesNothing) {
+  db::Database db = dash::testing::MakeFoodDb();
+  BuildOptions options;
+  options.algorithm = CrawlAlgorithm::kReference;
+  DashEngine engine =
+      DashEngine::Build(db, dash::testing::MakeSearchApp(), options);
+  const IndexSnapshot& snapshot = *engine.snapshot();
+  ASSERT_FALSE(snapshot.selection().empty());
+
+  (void)snapshot.Search({"nosuchkeyword"}, 1, 1);  // warm-up
+  const long before = t_allocations;
+  std::vector<SearchResult> results =
+      snapshot.Search({"nosuchkeyword"}, 1, 1);
+  const long allocations = t_allocations - before;
+  EXPECT_TRUE(results.empty());
+  EXPECT_LE(allocations, 4) << allocations << " allocations";
 }
 
 }  // namespace

@@ -6,9 +6,9 @@
 // multi-threaded listener with bounded admission control, per-request
 // deadlines, optional result cache and optional sharded scatter-gather.
 // With --shard-index it becomes a cluster shard node (DESIGN.md §15):
-// /search answers the local top-k of that fragment slice only and
-// /shardstats reports the slice's per-term statistics, ready to sit
-// behind a core::SearchRouter.
+// /search answers the local top-k of that fragment slice only, one
+// request per leg of a core::SearchRouter in front of it, and
+// /shardstats reports the slice's per-term statistics for inspection.
 //
 //   dash_serve --port 8080 --workers 4 --queue 64
 //              --cache 256 --shards 8 --deadline-ms 50
